@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import AnalysisError, InfeasibleILPError
 from repro.program.acfg import ACFG
@@ -48,7 +46,7 @@ class ILPSolution:
 def edge_list(acfg: ACFG) -> List[tuple]:
     """Forward edges of the ACFG as ``(src, dst)`` pairs, in rid order."""
     edges = []
-    for rid in range(len(acfg.vertices)):
+    for rid in range(len(acfg)):
         for succ in acfg.successors(rid):
             edges.append((rid, succ))
     return edges
@@ -68,7 +66,12 @@ def solve_ipet(acfg: ACFG, per_exec_time: Sequence[float]) -> ILPSolution:
         InfeasibleILPError: If HiGHS reports no feasible flow (indicates
             a malformed graph).
     """
-    n = len(acfg.vertices)
+    # Imported here: the ILP backend only serves cross-checks, and
+    # scipy.optimize is slow to import.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    n = len(acfg)
     if len(per_exec_time) != n:
         raise AnalysisError(
             f"per_exec_time has {len(per_exec_time)} entries, ACFG has {n}"

@@ -13,7 +13,10 @@ decomposes the analysis into explicitly cached stages:
    (block/instruction streams, structure-tree shape, loop bounds,
    layout parameters).  Two CFG objects with equal content share one
    artifact, which is what lets ``measure → optimize → measure`` inside
-   a use case build the ACFG once.
+   a use case build the ACFG once.  A candidate that differs from its
+   base by one prefetch insertion gets its ACFG spliced from the
+   base's (:func:`~repro.program.acfg.splice_prefetch`) instead of
+   re-expanded.
 2. **Hash-consed abstract states** — a per-domain
    :class:`TransferCache` interns every
    :class:`~repro.cache.abstract.AbstractCacheState` it produces and
@@ -25,10 +28,13 @@ decomposes the analysis into explicitly cached stages:
    which the old and new ACFGs differ, lowered (closure) until no back
    edge of either graph crosses from at-or-above the boundary into the
    prefix.  Below the boundary the dataflow equations, classifications,
-   ``t_w`` entries, latency-guard verdicts and IPET table entries of the
-   base analysis are provably unchanged, so the fixpoint and the
-   structural solve warm-start there and only the affected suffix is
-   recomputed.  When the invariants cannot be established (no base,
+   ``t_w`` entries and IPET table entries of the base analysis are
+   provably unchanged, so the fixpoint and the structural solve
+   warm-start there and only the affected suffix is recomputed.  The
+   latency guard is not warm-started: it answers all of its slack
+   queries in one batched shortest-path pass per analysis, which is
+   cheaper than tracking which verdicts survive.  When the invariants
+   cannot be established (no base,
    foreign base, boundary 0) the pipeline falls back to a cold run; a
    ``differential`` mode re-runs every delta analysis from scratch and
    asserts bit-identical ``tau_w``, classifications and
@@ -48,6 +54,8 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.analysis.refine import (
     RefinementResult,
@@ -70,6 +78,7 @@ from repro.cache.classify import (
     CacheAnalysis,
     DataflowResult,
     analyze_l2_must,
+    classifications_from_ranks,
     classify_references,
     l2_guaranteed_hits,
     propagate,
@@ -80,14 +89,14 @@ from repro.cache.kernel import (
     DenseDataflowResult,
     KernelSchedule,
     SegmentMemo,
-    classify_references_dense,
+    dense_classification_ranks,
     propagate_kernel_batch,
     resolve_kernel,
 )
 from repro.cache.persistence import PersistenceState
 from repro.errors import AnalysisError
 from repro.obs.trace import active_tracer
-from repro.program.acfg import ACFG, build_acfg
+from repro.program.acfg import ACFG, build_acfg, splice_prefetch
 from repro.program.cfg import ControlFlowGraph
 from repro.program.structure import (
     BlockNode,
@@ -307,15 +316,20 @@ class PipelineResult:
     Also carries the optimizer's per-pass derived artifacts
     (:meth:`reverse_events`, :meth:`exec_counts`, :meth:`miss_uses`)
     lazily, so ``_run_pass`` stops recomputing them per pass.
+
+    The pipeline that produced the result is held weakly: the pipeline's
+    result cache holds its results, and a strong back-reference would
+    make every discarded pipeline, with all its cached matrices, wait
+    for the cyclic garbage collector.
     """
 
-    __slots__ = ("owner", "artifacts", "wcet", "dataflows", "best",
+    __slots__ = ("_owner", "artifacts", "wcet", "dataflows", "best",
                  "best_pred", "with_may", "locked_blocks",
                  "_reverse_events", "_exec_counts", "_miss_uses")
 
     def __init__(self, owner, artifacts, wcet, dataflows, best, best_pred,
                  with_may, locked_blocks):
-        self.owner = owner
+        self._owner = weakref.ref(owner)
         self.artifacts = artifacts
         self.wcet = wcet
         self.dataflows = dataflows
@@ -326,6 +340,11 @@ class PipelineResult:
         self._reverse_events = None
         self._exec_counts = None
         self._miss_uses = None
+
+    @property
+    def owner(self) -> Optional["AnalysisPipeline"]:
+        """The pipeline that produced this result (``None`` once gone)."""
+        return self._owner()
 
     @property
     def acfg(self) -> ACFG:
@@ -451,34 +470,27 @@ def content_key(cfg: ControlFlowGraph, block_size: int, base_address: int):
     )
 
 
-def _vertex_matches(old: ACFG, new: ACFG, rid: int) -> bool:
-    """Whether vertex ``rid`` is analysis-equivalent in both ACFGs.
+def spliced_content_key(base_key, cfg: ControlFlowGraph, block_name: str,
+                        index: int):
+    """:func:`content_key` of ``cfg``, derived from its base program's.
 
-    Compares everything the dataflow/guard/IPET equations read at this
-    vertex: kind, context, instruction identity and prefetch role,
-    memory blocks (own + target — these capture address-layout shifts),
-    execution multiplier, and the forward predecessor list.
+    ``cfg`` must be the program keyed by ``base_key`` with one prefetch
+    inserted at ``block_name[index]``; only that block's instruction
+    stream changes, so the key is patched in O(blocks) instead of
+    rebuilt instruction by instruction.
     """
-    a = old.vertices[rid]
-    b = new.vertices[rid]
-    if a.kind is not b.kind or a.context != b.context:
-        return False
-    ia, ib = a.instr, b.instr
-    if (ia is None) != (ib is None):
-        return False
-    if ia is not None and (
-        ia.uid != ib.uid
-        or ia.is_prefetch != ib.is_prefetch
-        or ia.prefetch_target != ib.prefetch_target
-    ):
-        return False
-    if (
-        old._ref_block[rid] != new._ref_block[rid]
-        or old._target_block[rid] != new._target_block[rid]
-        or old.multiplier[rid] != new.multiplier[rid]
-    ):
-        return False
-    return old.predecessors(rid) == new.predecessors(rid)
+    block = cfg.block(block_name)
+    position = cfg.blocks.index(block)
+    instr = block.instructions[index]
+    blocks = base_key[1]
+    name, stream = blocks[position]
+    stream = (
+        stream[:index]
+        + ((instr.uid, instr.is_prefetch, instr.prefetch_target),)
+        + stream[index:]
+    )
+    blocks = blocks[:position] + ((name, stream),) + blocks[position + 1:]
+    return (base_key[0], blocks) + base_key[2:]
 
 
 def divergence_boundary(old: ACFG, new: ACFG) -> int:
@@ -486,21 +498,39 @@ def divergence_boundary(old: ACFG, new: ACFG) -> int:
 
     Returns the largest ``b`` such that every analysis equation of
     vertices ``rid < b`` is identical in both graphs: first the lowest
-    rid whose vertex differs (:func:`_vertex_matches`), then lowered by
-    closure until no back edge of *either* graph — and no back edge
-    present in only one of them — targets the prefix from at or above
-    the boundary.  With that closure, the prefix fixpoint states,
-    classifications, ``t_w`` entries, latency-guard verdicts and IPET
-    table entries of the base analysis carry over unchanged.
+    rid whose vertex differs in anything the dataflow and IPET equations
+    read (kind, context, instruction uid, prefetch role and target,
+    memory blocks, execution multiplier, or forward predecessor list),
+    then lowered by closure until no back edge of *either* graph — and
+    no back edge present in only one of them — targets the prefix from
+    at or above the boundary.  With that closure, the prefix fixpoint
+    states, classifications, ``t_w`` entries and IPET table entries of
+    the base analysis carry over unchanged.
 
     Returns 0 when nothing can be reused.
     """
-    n = min(len(old.vertices), len(new.vertices))
-    b = n
-    for rid in range(n):
-        if not _vertex_matches(old, new, rid):
-            b = rid
-            break
+    a, c = old.columns, new.columns
+    n = min(len(old), len(new))
+    if old.contexts is new.contexts or old.contexts == new.contexts:
+        new_context = c.context_id[:n]
+    else:
+        old_ids = {ctx: cid for cid, ctx in enumerate(old.contexts)}
+        translate = np.asarray(
+            [old_ids.get(ctx, -1) for ctx in new.contexts], dtype=np.int64
+        )
+        new_context = translate[c.context_id[:n]]
+    differs = a.context_id[:n] != new_context
+    for name in ("kind", "instr_uid", "is_prefetch", "target_uid",
+                 "ref_block", "target_block", "multiplier"):
+        differs |= getattr(a, name)[:n] != getattr(c, name)[:n]
+    # Predecessor lists: equal in-degrees keep both CSR slices aligned,
+    # so the first differing pred entry names the first differing rid.
+    differs |= np.diff(a.pred_ptr)[:n] != np.diff(c.pred_ptr)[:n]
+    b = int(np.argmax(differs)) if differs.any() else n
+    aligned = int(a.pred_ptr[b])
+    mismatch = np.flatnonzero(a.pred_idx[:aligned] != c.pred_idx[:aligned])
+    if len(mismatch):
+        b = min(b, int(np.searchsorted(a.pred_ptr, mismatch[0], "right")) - 1)
     if b <= 0:
         return 0
     old_edges = set(old.back_edges)
@@ -657,6 +687,7 @@ class AnalysisPipeline:
         cfg: ControlFlowGraph,
         with_may: bool = True,
         base: Optional[PipelineResult] = None,
+        inserted: Optional[Tuple[str, int]] = None,
     ) -> PipelineResult:
         """Analyse ``cfg``, reusing every stage the caches allow.
 
@@ -666,12 +697,21 @@ class AnalysisPipeline:
             base: A previous result *from this pipeline* to delta
                 against — typically the analysis of the program this
                 ``cfg`` was derived from by one prefetch insertion.
+            inserted: ``(block_name, index)`` of that insertion, when
+                ``cfg`` is exactly ``base``'s program plus one prefetch
+                there: the ACFG is then spliced from ``base``'s
+                (:func:`~repro.program.acfg.splice_prefetch`) instead of
+                being rebuilt.
 
         Returns:
             A :class:`PipelineResult` whose ``wcet`` is bit-identical to
             a fresh :func:`~repro.analysis.wcet.analyze_wcet` call.
         """
-        key = self._content_key_of(cfg)
+        if base is not None and base.owner is not self:
+            inserted = None
+        key = self._content_key_of(
+            cfg, base.artifacts.key if inserted is not None else None, inserted
+        )
         result_key = (key, bool(with_may))
         cached = self._results.get(result_key)
         if cached is not None:
@@ -679,7 +719,9 @@ class AnalysisPipeline:
             self.stats.result_hits += 1
             return cached
 
-        artifacts = self._structural_stage(cfg, key)
+        artifacts = self._structural_stage(
+            cfg, key, base if inserted is not None else None, inserted
+        )
         acfg = artifacts.acfg
 
         boundary = 0
@@ -736,10 +778,11 @@ class AnalysisPipeline:
 
         with self._stage("classify"):
             locked = self.locked_blocks or None
+            ranks = None
             if all(
                 isinstance(df, DenseDataflowResult) for df in dataflows.values()
             ):
-                classifications = classify_references_dense(
+                ranks = dense_classification_ranks(
                     acfg,
                     dataflows["must"],
                     dataflows.get("may"),
@@ -747,6 +790,7 @@ class AnalysisPipeline:
                     locked,
                     schedule=artifacts.schedule,
                 )
+                classifications = classifications_from_ranks(ranks)
             else:
                 classifications = classify_references(
                     acfg,
@@ -762,8 +806,10 @@ class AnalysisPipeline:
                 dataflows.get("may"),
                 dataflows.get("persistence"),
             )
+            if ranks is not None:
+                cache_analysis.seed_ranks(ranks)
 
-        # Downstream warm-starts (l2/guard/ipet) rely on the prefix
+        # Downstream warm-starts (l2/ipet) rely on the prefix
         # classifications matching the base run; refinement can break
         # that (a budget flip changes promotions without changing the
         # prefix equations), in which case they run cold.
@@ -827,12 +873,7 @@ class AnalysisPipeline:
         with self._stage("guard"):
             t_w = compute_ref_times(acfg, cache_analysis, self.timing)
             guarded = _latency_guard(
-                acfg,
-                cache_analysis,
-                self.timing,
-                t_w,
-                boundary=warm_boundary,
-                base_guarded=base.wcet.latency_guarded if use_warm else frozenset(),
+                acfg, cache_analysis, self.timing, t_w, artifacts.loop_spans
             )
             for rid in guarded:
                 t_w[rid] = float(self.timing.miss_cycles)
@@ -880,13 +921,17 @@ class AnalysisPipeline:
     def _stage(self, name: str) -> _StageTimer:
         return _StageTimer(self.stats, name)
 
-    def _content_key_of(self, cfg: ControlFlowGraph):
+    def _content_key_of(self, cfg: ControlFlowGraph, base_key=None,
+                        inserted: Optional[Tuple[str, int]] = None):
         cached = self._content_keys.get(id(cfg))
         if cached is not None:
             version, ref, key = cached
             if ref() is cfg and version == cfg.version:
                 return key
-        key = content_key(cfg, self.config.block_size, self.base_address)
+        if inserted is not None:
+            key = spliced_content_key(base_key, cfg, *inserted)
+        else:
+            key = content_key(cfg, self.config.block_size, self.base_address)
         self._content_keys[id(cfg)] = (cfg.version, weakref.ref(cfg), key)
         if len(self._content_keys) > 16:
             self._content_keys = {
@@ -896,7 +941,13 @@ class AnalysisPipeline:
             }
         return key
 
-    def _structural_stage(self, cfg: ControlFlowGraph, key) -> StructuralArtifacts:
+    def _structural_stage(
+        self,
+        cfg: ControlFlowGraph,
+        key,
+        base: Optional[PipelineResult] = None,
+        inserted: Optional[Tuple[str, int]] = None,
+    ) -> StructuralArtifacts:
         hit = self._structural_cache.get(key)
         if hit is not None:
             self._structural_cache.move_to_end(key)
@@ -904,7 +955,10 @@ class AnalysisPipeline:
             return hit
         self.stats.structural_misses += 1
         with self._stage("acfg"):
-            acfg = build_acfg(cfg, self.config.block_size, self.base_address)
+            if base is not None:
+                acfg = splice_prefetch(base.artifacts.acfg, cfg, *inserted)
+            else:
+                acfg = build_acfg(cfg, self.config.block_size, self.base_address)
             artifacts = StructuralArtifacts(
                 key=key, acfg=acfg, loop_spans=rest_instance_spans(acfg)
             )

@@ -197,7 +197,7 @@ def _explore_set(
 
     Returns ``None`` when the budget (or the pass cap) was exceeded.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     in_lines: List[Optional[LineSet]] = [None] * n
     out_lines: List[Optional[LineSet]] = [None] * n
     start = 0
@@ -300,7 +300,7 @@ def explore_concrete_states(
     if budget is None:
         budget = DEFAULT_BUDGET
     locked = locked_blocks or frozenset()
-    n = len(acfg.vertices)
+    n = len(acfg)
 
     # The default instruction-fetch access plan of propagate() — own
     # block, then a prefetch's target — split by the cache set each

@@ -1,8 +1,10 @@
 """Path-slack computations over the ACFG (Eq. 5 and variants).
 
 Shared by the optimizer's joint improvement criterion
-(:mod:`repro.core.profit`), the guarantee checkers, and the WCET
-driver's prefetch-latency guard.
+(:mod:`repro.core.profit`) and the guarantee checkers.  The
+prefetch-latency guard (:func:`repro.analysis.wcet._latency_guard`)
+answers the same queries in one batched shortest-path pass; these
+pure-Python sweeps are its reference oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def min_path_slack(
         The slack in cycles; ``inf`` when ``to_rid`` is unreachable from
         ``from_rid``.
     """
-    if not 0 <= from_rid < len(acfg.vertices) or not 0 <= to_rid < len(acfg.vertices):
+    if not 0 <= from_rid < len(acfg) or not 0 <= to_rid < len(acfg):
         raise OptimizationError("slack endpoints out of range")
     if to_rid <= from_rid:
         raise OptimizationError(
@@ -71,11 +73,11 @@ def min_path_slacks(
     """
     if not to_rids:
         return {}
-    if not 0 <= from_rid < len(acfg.vertices):
+    if not 0 <= from_rid < len(acfg):
         raise OptimizationError("slack endpoints out of range")
     last = -1
     for to_rid in to_rids:
-        if not 0 <= to_rid < len(acfg.vertices):
+        if not 0 <= to_rid < len(acfg):
             raise OptimizationError("slack endpoints out of range")
         if to_rid <= from_rid:
             raise OptimizationError(
@@ -100,33 +102,6 @@ def min_path_slacks(
         weight = t_w[rid] if acfg.vertex(rid).is_ref else 0.0
         dist[rid] = best + weight
     return out
-
-
-def min_tail_slack(
-    acfg: ACFG,
-    t_w: Sequence[float],
-    evictor_rid: int,
-    exit_rids: Sequence[int],
-) -> float:
-    """The loop-tail half of :func:`wraparound_slack`.
-
-    ``min over latches e >= evictor of (minpath(evictor→e) + t_w(e))`` —
-    independent of the use, so the latency guard computes it once per
-    (prefetch, loop instance) and shares it across every wrapped use.
-    """
-    after = [e for e in exit_rids if e > evictor_rid]
-    parts = min_path_slacks(acfg, t_w, evictor_rid, after) if after else {}
-    best_tail = math.inf
-    for exit_rid in exit_rids:
-        if exit_rid == evictor_rid:
-            tail = 0.0
-        elif exit_rid > evictor_rid:
-            weight = t_w[exit_rid] if acfg.vertex(exit_rid).is_ref else 0.0
-            tail = parts[exit_rid] + weight
-        else:
-            continue
-        best_tail = min(best_tail, tail)
-    return best_tail
 
 
 def wraparound_slack(

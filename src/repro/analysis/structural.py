@@ -89,12 +89,13 @@ def solve_wcet_path_tables(
         DP tables (do not mutate; they may be shared with later warm
         solves).
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     if len(per_exec_time) != n:
         raise AnalysisError(
             f"per_exec_time has {len(per_exec_time)} entries, ACFG has {n}"
         )
-    weight = [per_exec_time[rid] * acfg.multiplier[rid] for rid in range(n)]
+    multiplier = acfg.multiplier
+    weight = [t * m for t, m in zip(per_exec_time, multiplier)]
     best = [float("-inf")] * n
     best_pred = [-1] * n
     start = 0
@@ -108,14 +109,21 @@ def solve_wcet_path_tables(
             start = boundary
     if start == 0:
         best[acfg.source] = weight[acfg.source]
+    ptr = acfg.columns.pred_ptr.tolist()
+    pred_idx = acfg.columns.pred_idx.tolist()
     for rid in range(start, n):
         if rid == acfg.source:
             continue
-        preds = acfg.predecessors(rid)
-        if not preds:
+        lo = ptr[rid]
+        hi = ptr[rid + 1]
+        if hi - lo == 1:
+            chosen = pred_idx[lo]
+        elif hi == lo:
             raise AnalysisError(f"vertex {rid} has no predecessors")
-        # Deterministic tie-break: smallest rid among maximal predecessors.
-        chosen = max(preds, key=lambda p: (best[p], -p))
+        else:
+            # Deterministic tie-break: smallest rid among maximal
+            # predecessors.
+            chosen = max(pred_idx[lo:hi], key=lambda p: (best[p], -p))
         best[rid] = best[chosen] + weight[rid]
         best_pred[rid] = chosen
 
@@ -131,7 +139,7 @@ def solve_wcet_path_tables(
     on_path = [False] * n
     for rid in path:
         on_path[rid] = True
-    n_w = [acfg.multiplier[rid] if on_path[rid] else 0 for rid in range(n)]
+    n_w = [m if on else 0 for m, on in zip(multiplier, on_path)]
     solution = PathSolution(
         objective=best[acfg.sink],
         n_w=n_w,

@@ -16,16 +16,21 @@ criterion (:mod:`repro.core.profit`) consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+
 from repro.analysis.ipet import solve_ipet
+from repro.analysis.slack import rest_instance_spans
 from repro.analysis.structural import PathSolution, solve_wcet_path
 from repro.analysis.timing import TimingModel
 from repro.cache.classify import (
+    HIT_RANK,
+    PERSISTENT_RANK,
     CacheAnalysis,
-    Classification,
     analyze_cache,
     analyze_l2_must,
     l2_guaranteed_hits,
@@ -52,24 +57,16 @@ def compute_ref_times(
     occupies its issue slot (its block transfer is non-blocking and not
     charged here).  Non-reference vertices cost nothing.
     """
-    times: List[float] = [0.0] * len(acfg.vertices)
-    l2_hits = (
-        analysis.l2_hits
-        if timing.l2_hit_penalty_cycles is not None and analysis.l2_hits
-        else frozenset()
-    )
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
-        if analysis.classification(rid).is_hit:
-            cost = float(timing.hit_cycles)
-        elif rid in l2_hits:
-            cost = float(timing.l2_hit_cycles)
-        else:
-            cost = float(timing.miss_cycles)
-        if vertex.is_prefetch:
-            cost += float(timing.prefetch_issue_cycles)
-        times[rid] = cost
-    return times
+    cols = acfg.columns
+    hit = analysis.ranks() >= HIT_RANK
+    times = np.where(hit, float(timing.hit_cycles), float(timing.miss_cycles))
+    if timing.l2_hit_penalty_cycles is not None and analysis.l2_hits:
+        l2 = np.zeros(len(acfg), dtype=bool)
+        l2[list(analysis.l2_hits)] = True
+        times[l2 & ~hit] = float(timing.l2_hit_cycles)
+    times[cols.is_prefetch] += float(timing.prefetch_issue_cycles)
+    times[~cols.is_ref] = 0.0
+    return times.tolist()
 
 
 @dataclass
@@ -135,17 +132,13 @@ class WCETResult:
         cached = getattr(self, "_misses_cache", None)
         if cached is not None:
             return cached
-        total = len(self.persistent_charged_blocks)
-        n_w = self.solution.n_w
-        classifications = self.cache.classifications
-        for vertex in self.acfg.ref_vertices():
-            rid = vertex.rid
-            classification = classifications[rid]
-            assert classification is not None
-            if n_w[rid] and (
-                not classification.is_hit or rid in self.latency_guarded
-            ):
-                total += n_w[rid]
+        missing = self.cache.ranks() < HIT_RANK
+        if self.latency_guarded:
+            missing[list(self.latency_guarded)] = True
+        n_w = np.asarray(self.solution.n_w, dtype=np.int64)
+        total = len(self.persistent_charged_blocks) + int(
+            n_w[missing & self.acfg.columns.is_ref].sum()
+        )
         self._misses_cache = total
         return total
 
@@ -170,9 +163,8 @@ class WCETResult:
     @property
     def wcet_path_fetches(self) -> int:
         """Worst-case number of instruction fetches (prefetches included)."""
-        return sum(
-            self.solution.n_w[v.rid] for v in self.acfg.ref_vertices()
-        )
+        n_w = np.asarray(self.solution.n_w, dtype=np.int64)
+        return int(n_w[self.acfg.columns.is_ref].sum())
 
     @property
     def wcet_miss_rate(self) -> float:
@@ -343,14 +335,7 @@ def prefetch_lambda(cache, timing, prefetch_rid: int, target: int) -> int:
     return timing.prefetch_latency
 
 
-def _latency_guard(
-    acfg,
-    cache,
-    timing,
-    t_w,
-    boundary: int = 0,
-    base_guarded: frozenset = frozenset(),
-) -> frozenset:
+def _latency_guard(acfg, cache, timing, t_w, spans=None) -> frozenset:
     """References whose hit classification cannot be guaranteed in time.
 
     The abstract semantics install a prefetched block immediately; the
@@ -361,80 +346,103 @@ def _latency_guard(
     is the conservative counterpart of the prefetching-aware abstract
     semantics of the paper's ref. [22].
 
-    Slack queries are batched: one DAG sweep per prefetch covers all its
-    straight-line uses, and per loop instance the tail of the wrap-around
-    slack is computed once and shared across the wrapped uses.  The
-    sweeps replay exactly the per-pair recurrence, so the guarded set is
-    identical to pairwise evaluation.
+    All slack queries are answered by one multi-source
+    :func:`scipy.sparse.csgraph.dijkstra` pass over the forward DAG,
+    each edge weighted by its head vertex's ``t_w``.  The sources are
+    the prefetches with a hit use of their target and the entry joins of
+    the innermost REST instance holding a prefetch with a wrapped use.
+    From a prefetch, ``dist(use) - t_w(use)`` is the straight-line slack
+    (:func:`~repro.analysis.slack.min_path_slack`) and the minimum of
+    ``dist`` over the instance's latches is the wrap-around tail; from
+    the join, ``dist(use) - t_w(use)`` is the head
+    (:func:`~repro.analysis.slack.wraparound_slack`).  ``t_w`` holds
+    integer cycle counts, so the float sums are exact and the verdicts
+    equal the pairwise evaluation.
 
-    ``boundary``/``base_guarded`` support the delta re-analysis of
-    :mod:`repro.analysis.pipeline`: verdicts of uses below the
-    divergence boundary are taken from ``base_guarded`` and only pairs
-    with ``use >= boundary`` are recomputed.  Sound because after the
-    boundary closure no slack span of a below-boundary use crosses the
-    boundary (straight-line spans end at the use; a wrap-around span
-    reaching past it would need a back edge from >= boundary into the
-    prefix, which the closure rules out).
+    Args:
+        t_w: Per-rid ``t_w`` before guarding (list or float array).
+        spans: The ACFG's :func:`~repro.analysis.slack.rest_instance_spans`
+            when the caller has them cached.
     """
-    from repro.analysis.slack import (
-        min_path_slacks,
-        min_tail_slack,
-        rest_instance_spans,
+    cols = acfg.columns
+    prefetches = np.flatnonzero(cols.is_prefetch & (cols.target_block >= 0))
+    if not len(prefetches):
+        return frozenset()  # data prefetches have no instruction-cache effect
+    if spans is None:
+        spans = rest_instance_spans(acfg)
+    n = len(acfg)
+    count = len(prefetches)
+    targets = cols.target_block[prefetches]
+    # Pair every prefetch with the hit uses of its target block.
+    uses = np.flatnonzero(
+        (cache.ranks() >= HIT_RANK) & cols.is_ref & ~cols.is_prefetch
     )
-
-    prefetches = [v for v in acfg.ref_vertices() if v.is_prefetch]
-    if not prefetches:
-        return frozenset()
-    uses_by_block: dict = {}
-    for vertex in acfg.ref_vertices():
-        if vertex.is_prefetch:
-            continue
-        classification = cache.classifications[vertex.rid]
-        assert classification is not None
-        if classification.is_hit:
-            uses_by_block.setdefault(acfg.block_of(vertex.rid), []).append(
-                vertex.rid
-            )
-    spans = rest_instance_spans(acfg)
-    guarded = {use for use in base_guarded if use < boundary}
-    for prefetch in prefetches:
-        target = acfg.target_block_or_none(prefetch.rid)
-        if target is None:
-            continue  # data prefetch: no instruction-cache effect
-        latency = float(prefetch_lambda(cache, timing, prefetch.rid, target))
-        uses = uses_by_block.get(target, ())
-        straight = [
-            use
-            for use in uses
-            if use > prefetch.rid and use >= boundary and use not in guarded
-        ]
-        if straight:
-            slacks = min_path_slacks(acfg, t_w, prefetch.rid, straight)
-            for use in straight:
-                if slacks[use] < latency:
-                    guarded.add(use)
-        # Loop-carried proximity: prefetch late in the body, use early
-        # in the next iteration of the same (innermost) instance.
-        wrapped = [
-            use
-            for use in uses
-            if use <= prefetch.rid and use >= boundary and use not in guarded
-        ]
-        if not wrapped:
-            continue
+    uses = uses[np.argsort(cols.ref_block[uses], kind="stable")]
+    use_blocks = cols.ref_block[uses]
+    first = np.searchsorted(use_blocks, targets, "left")
+    per_row = np.searchsorted(use_blocks, targets, "right") - first
+    pair_row = np.repeat(np.arange(count), per_row)
+    pair_use = uses[
+        np.arange(len(pair_row))
+        - np.repeat(np.cumsum(per_row) - per_row - first, per_row)
+    ]
+    # Straight-line uses lie behind the prefetch; wrapped uses at or
+    # before it, inside the innermost REST instance holding it (spans
+    # are sorted by entry join, so the last containing one).
+    prefetch_list = prefetches.tolist()
+    join_of = np.full(count, n)
+    exits_of = {}
+    for row, rid in enumerate(prefetch_list):
         for join_rid, last_rid, exit_rids in reversed(spans):
-            if not join_rid <= prefetch.rid <= last_rid:
-                continue
-            in_span = [use for use in wrapped if join_rid <= use]
-            if in_span:
-                tail = min_tail_slack(acfg, t_w, prefetch.rid, exit_rids)
-                if not math.isinf(tail):
-                    heads = min_path_slacks(acfg, t_w, join_rid, in_span)
-                    for use in in_span:
-                        if tail + heads[use] < latency:
-                            guarded.add(use)
-            break
-    return frozenset(guarded)
+            if join_rid <= rid <= last_rid:
+                join_of[row] = join_rid
+                exits_of[row] = list(exit_rids)
+                break
+    straight = pair_use > prefetches[pair_row]
+    keep = straight | (pair_use >= join_of[pair_row])
+    pair_row, pair_use, straight = pair_row[keep], pair_use[keep], straight[keep]
+    if not len(pair_row):
+        return frozenset()
+    active = sorted(set(pair_row.tolist()))
+    looped = sorted(set(pair_row[~straight].tolist()))
+
+    tw = np.asarray(t_w, dtype=np.float64)
+    latency = np.zeros(count)
+    latency[active] = [
+        prefetch_lambda(cache, timing, prefetch_list[row], int(targets[row]))
+        for row in active
+    ]
+    sources = np.asarray(sorted(
+        {prefetch_list[row] for row in active}
+        | {int(join_of[row]) for row in looped}
+    ))
+    succ_idx = cols.succ_idx.astype(np.int32)
+    graph = csr_matrix(
+        (np.where(cols.is_ref, tw, 0.0)[succ_idx], succ_idx,
+         cols.succ_ptr.astype(np.int32)),
+        shape=(n, n),
+    )
+    # A verdict needs dist(use) < Λ + t_w(use) (the tail and head of a
+    # wrap-around are both non-negative), so longer paths may read as
+    # infinite: the search stops there.
+    dist = dijkstra(
+        graph, directed=True, indices=sources,
+        limit=float(latency.max()) + float(tw.max()),
+    )
+    last = len(sources) - 1
+    from_prefetch = np.minimum(np.searchsorted(sources, prefetches), last)
+    from_join = np.minimum(np.searchsorted(sources, join_of), last)
+    # An infinite tail (no latch behind the prefetch) guards nothing.
+    tail = np.full(count, np.inf)
+    for row in looped:
+        tail[row] = dist[from_prefetch[row], exits_of[row]].min()
+    use_time = tw[pair_use]
+    slack = np.where(
+        straight,
+        dist[from_prefetch[pair_row], pair_use] - use_time,
+        tail[pair_row] + dist[from_join[pair_row], pair_use] - use_time,
+    )
+    return frozenset(pair_use[slack < latency[pair_row]].tolist())
 
 
 def _charged_persistent_blocks(acfg, cache, solution) -> frozenset:
@@ -444,16 +452,9 @@ def _charged_persistent_blocks(acfg, cache, solution) -> frozenset:
     reference and no on-path reference already paying a full miss
     (which would cover the single real miss).
     """
-    persistent: set = set()
-    fully_charged: set = set()
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
-        if solution.n_w[rid] == 0:
-            continue
-        block = acfg.block_of(rid)
-        classification = cache.classification(rid)
-        if classification is Classification.PERSISTENT:
-            persistent.add(block)
-        elif not classification.is_hit:
-            fully_charged.add(block)
-    return frozenset(persistent - fully_charged)
+    cols = acfg.columns
+    ranks = cache.ranks()
+    on_path = cols.is_ref & (np.asarray(solution.n_w) != 0)
+    persistent = cols.ref_block[on_path & (ranks == PERSISTENT_RANK)]
+    fully_charged = cols.ref_block[on_path & (ranks < HIT_RANK)]
+    return frozenset(persistent.tolist()) - frozenset(fully_charged.tolist())

@@ -30,6 +30,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.cache.abstract import AbstractCacheState, MayState, MustState
 from repro.cache.config import CacheConfig
 from repro.cache.persistence import PersistenceState
@@ -86,6 +88,39 @@ CLASSIFICATION_LAYERS: Tuple[Classification, ...] = (
 def classification_rank(classification: Classification) -> int:
     """Index of a classification in :data:`CLASSIFICATION_LAYERS`."""
     return CLASSIFICATION_LAYERS.index(classification)
+
+
+#: Rank of :attr:`Classification.PERSISTENT`.
+PERSISTENT_RANK = classification_rank(Classification.PERSISTENT)
+#: Ranks at or above this are the classes :attr:`Classification.is_hit`
+#: accepts (PS and AH).
+HIT_RANK = PERSISTENT_RANK
+
+# Keyed by object identity: enum members hash through a Python-level
+# __hash__, which dominates on per-candidate classification lists.
+_RANK_BY_ID = {id(c): rank for rank, c in enumerate(CLASSIFICATION_LAYERS)}
+_RANK_BY_ID[id(None)] = -1
+#: Labels by rank; rank -1 (no classification) reads the trailing None.
+_LABELS = np.array(CLASSIFICATION_LAYERS + (None,), dtype=object)
+
+
+def classification_ranks(
+    classifications: Sequence[Optional[Classification]],
+) -> np.ndarray:
+    """Per-rid :func:`classification_rank` as an int8 array (-1 for
+    vertices without a classification)."""
+    return np.fromiter(
+        map(_RANK_BY_ID.__getitem__, map(id, classifications)),
+        dtype=np.int8,
+        count=len(classifications),
+    )
+
+
+def classifications_from_ranks(
+    ranks: np.ndarray,
+) -> List[Optional[Classification]]:
+    """Inverse of :func:`classification_ranks`."""
+    return _LABELS[ranks].tolist()
 
 
 @dataclass
@@ -146,7 +181,7 @@ def propagate(
     Returns:
         A :class:`DataflowResult` with the converged states.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     in_states: List[Optional[AbstractCacheState]] = [None] * n
     out_states: List[Optional[AbstractCacheState]] = [None] * n
     back_by_target: Dict[int, List[int]] = {}
@@ -288,6 +323,24 @@ class CacheAnalysis:
     #: hit L2: WCET charges them the L2 service time, not the DRAM one.
     l2_hits: Optional[frozenset] = None
 
+    def ranks(self) -> np.ndarray:
+        """:func:`classification_ranks` of :attr:`classifications`.
+
+        Cached until the list is replaced (refinement assigns a new
+        one); do not mutate the list in place after analysis.
+        """
+        cached = self.__dict__.get("_ranks")
+        if cached is None or cached[0] is not self.classifications:
+            self.seed_ranks(classification_ranks(self.classifications))
+            cached = self.__dict__["_ranks"]
+        return cached[1]
+
+    def seed_ranks(self, ranks: np.ndarray) -> None:
+        """Record the ranks of the current :attr:`classifications` (a
+        classifier that computed them anyway saves :meth:`ranks` the
+        conversion)."""
+        self.__dict__["_ranks"] = (self.classifications, ranks)
+
     def classification(self, rid: int) -> Classification:
         """Classification of a REF vertex (raises for non-REF)."""
         result = self.classifications[rid]
@@ -351,9 +404,9 @@ def analyze_cache(
             carries ``l2_must``/``l2_hits``.  Its L1 must equal
             ``config``.
     """
-    if config.block_size != acfg.memory_map.block_size:
+    if config.block_size != acfg.block_size:
         raise AnalysisError(
-            f"ACFG was built for block size {acfg.memory_map.block_size}, "
+            f"ACFG was built for block size {acfg.block_size}, "
             f"cache uses {config.block_size}"
         )
     # Imported lazily: kernel.py imports DataflowResult from this module.
@@ -434,7 +487,7 @@ def classify_references(
     the staged pipeline which obtains the dataflow results from its own
     caches.
     """
-    classifications: List[Optional[Classification]] = [None] * len(acfg.vertices)
+    classifications: List[Optional[Classification]] = [None] * len(acfg)
     locked = locked_blocks or frozenset()
     for vertex in acfg.ref_vertices():
         rid = vertex.rid
@@ -492,7 +545,7 @@ def l2_access_plan(
     too.  Locked blocks are pinned in L1 and never reach L2.
     """
     locked = locked_blocks or frozenset()
-    plan: List[Optional[tuple]] = [None] * len(acfg.vertices)
+    plan: List[Optional[tuple]] = [None] * len(acfg)
     for vertex in acfg.ref_vertices():
         rid = vertex.rid
         ops = []

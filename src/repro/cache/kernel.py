@@ -72,7 +72,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.abstract import MayState, MustState
-from repro.cache.classify import CLASSIFICATION_LAYERS, DataflowResult
+from repro.cache.classify import DataflowResult, classifications_from_ranks
 from repro.cache.config import CacheConfig
 from repro.cache.persistence import PersistenceState
 from repro.errors import AnalysisError
@@ -155,17 +155,15 @@ class BlockUniverse:
         later candidate programs (each insertion shifts addresses by
         one instruction).
         """
-        # Scans the ACFG's per-rid block arrays directly: this probe
-        # runs once per candidate program, so accessor-call overhead
-        # matters.
-        blocks = [b for b in acfg._ref_block if b is not None]
-        blocks += [b for b in acfg._target_block if b is not None]
-        if not blocks:
+        cols = acfg.columns
+        blocks = np.concatenate((cols.ref_block, cols.target_block))
+        blocks = blocks[blocks >= 0]
+        if not len(blocks):
             # A program with no references still needs a 1-wide universe
             # so the matrices are well-formed.
             return cls(config, 0, 1 + max(headroom, 0))
-        lo = min(blocks)
-        hi = max(blocks)
+        lo = int(blocks.min())
+        hi = int(blocks.max())
         return cls(config, lo, hi - lo + 1 + max(headroom, 0))
 
 
@@ -353,42 +351,6 @@ def row_to_state(domain: str, row: np.ndarray, universe: BlockUniverse):
 UNKNOWN_COL = -1
 
 
-#: Interning table for segment access sequences: identical op tuples —
-#: from any schedule, ever — map to the same small integer, so memo keys
-#: hash in O(1) instead of re-hashing a nested tuple per probe, while
-#: distinct sequences can never collide (the id *is* the content).
-_OPS_INTERN: Dict[tuple, int] = {}
-
-
-class SegmentStep:
-    """One schedule step: a single-entry chain of vertices.
-
-    Attributes:
-        start/end: Contiguous rid range ``[start, end)`` of the chain.
-        preds: Forward predecessors of the first vertex.
-        back_srcs: Back-edge source rids targeting the first vertex.
-        ops: Per-vertex access column tuples (``()`` = no access).
-        ops_key: Interned id of the access sequence — segment-memo
-            entries are shared between schedules (e.g. across candidate
-            ACFGs) whenever the replayed work is identical.
-    """
-
-    __slots__ = ("index", "start", "end", "preds", "back_srcs", "ops",
-                 "ops_key")
-
-    def __init__(self, index: int, start: int, end: int,
-                 preds: Tuple[int, ...], back_srcs: Tuple[int, ...],
-                 ops: List[Tuple[int, ...]]):
-        self.index = index
-        self.start = start
-        self.end = end
-        self.preds = preds
-        self.back_srcs = back_srcs
-        self.ops = ops
-        key = tuple(ops)
-        self.ops_key = _OPS_INTERN.setdefault(key, len(_OPS_INTERN))
-
-
 #: Chain-length cap.  Chunking long straight-line chains makes the
 #: segment memo fine-grained enough to catch cross-candidate recurrence:
 #: when the optimizer re-evaluates a site on a slightly mutated program,
@@ -399,19 +361,42 @@ class SegmentStep:
 MAX_SEGMENT_LEN = 32
 
 
+def _check_columns(blocks: np.ndarray, base: int, width: int) -> None:
+    """Raise unless every memory block has a column in the universe."""
+    if len(blocks) and (blocks.min() < base or blocks.max() >= base + width):
+        outside = (blocks < base) | (blocks >= base + width)
+        raise AnalysisError(
+            f"block {int(blocks[outside][0])} outside universe "
+            f"[{base}, {base + width})"
+        )
+
+
 class KernelSchedule:
     """An ACFG compiled for the dense fixpoint engine.
 
+    The schedule is a list of *steps*: single-entry chains of vertices.
     Chains extend while a vertex is the unique successor of its unique
     predecessor and no back edge targets it, capped at
     :data:`MAX_SEGMENT_LEN` vertices.  JOIN vertices and branch/merge
-    points start new segments.  The per-vertex plan matches
+    points start new steps.  The per-vertex plan matches
     :func:`repro.cache.classify.propagate`'s default instruction-fetch
     plan (own block, then a prefetch's target, locked blocks skipped).
+
+    Attributes (one entry per step):
+        starts/ends: Contiguous rid range ``[start, end)`` of the chain.
+        step_preds: Forward predecessors of the first vertex.
+        step_back_srcs: Back-edge source rids targeting the first vertex.
+        ops_keys: The access sequence as bytes of its ``(own, target)``
+            column rows (``-1`` = no access) — segment-memo entries are
+            shared between schedules (e.g. across candidate ACFGs)
+            whenever the replayed work is identical.  A bytes object
+            caches its hash, so memo probes stay O(1) across sweeps.
     """
 
-    __slots__ = ("acfg", "universe", "steps", "step_of", "source",
-                 "locked_blocks", "ref_rids", "ref_cols", "ref_locked")
+    __slots__ = ("acfg", "universe", "starts", "ends", "step_preds",
+                 "step_back_srcs", "ops_keys", "step_of", "source",
+                 "locked_blocks", "ref_rids", "ref_cols", "ref_locked",
+                 "_op_rows", "_ops")
 
     def __init__(self, acfg: ACFG, universe: BlockUniverse,
                  locked_blocks: frozenset):
@@ -419,99 +404,103 @@ class KernelSchedule:
         self.universe = universe
         self.source = acfg.source
         self.locked_blocks = locked_blocks
-        n = len(acfg.vertices)
+        cols = acfg.columns
+        n = len(acfg)
 
-        # Compiled once per candidate program, so this reads the ACFG's
-        # per-rid arrays directly instead of going through accessors and
-        # only visits REF vertices.  The range check doubles as the
+        # Compiled once per candidate program, so everything below reads
+        # the ACFG's columns.  The range checks double as the
         # universe-coverage probe: callers compile optimistically
         # against their live universe and rebuild it when this raises.
         base = universe.base_block
         width = universe.width
-        ref_block = acfg._ref_block
-        target_block = acfg._target_block
-        plan: List[Tuple[int, ...]] = [()] * n
-        ref_rids: List[int] = []
-        ref_cols: List[int] = []
-        ref_locked: List[bool] = []
-        for vertex in acfg.ref_vertices():
-            rid = vertex.rid
-            own = ref_block[rid]
-            col = own - base
-            if not 0 <= col < width:
-                raise AnalysisError(
-                    f"block {own} outside universe [{base}, {base + width})"
-                )
-            ref_rids.append(rid)
-            ref_cols.append(col)
-            if locked_blocks:
-                locked = own in locked_blocks
-                ref_locked.append(locked)
-                ops = () if locked else (col,)
-            else:
-                ops = (col,)
-            target = target_block[rid]
-            if target is not None and target not in locked_blocks:
-                tcol = target - base
-                if not 0 <= tcol < width:
-                    raise AnalysisError(
-                        f"block {target} outside universe "
-                        f"[{base}, {base + width})"
-                    )
-                ops = ops + (tcol,)
-            plan[rid] = ops
+        ref_rids = np.flatnonzero(cols.is_ref)
+        own = cols.ref_block[ref_rids]
+        _check_columns(own, base, width)
+        target = cols.target_block[ref_rids]
+        has_target = target >= 0
+        if locked_blocks:
+            locked_list = list(locked_blocks)
+            own_locked = np.isin(own, locked_list)
+            has_target &= ~np.isin(target, locked_list)
+        else:
+            own_locked = None
+        _check_columns(target[has_target], base, width)
+        ref_cols = own - base
+        # Per-vertex access plan: own block, then a prefetch's target
+        # (locked blocks skipped), as (own, target) column rows.
+        op_rows = np.full((n, 2), -1, dtype=np.int64)
+        op_rows[ref_rids, 0] = (
+            ref_cols if own_locked is None else np.where(own_locked, -1, ref_cols)
+        )
+        op_rows[ref_rids[has_target], 1] = target[has_target] - base
         # Classification gather arrays: every reference's rid and
         # own-block column, precomputed once per structure so
         # classify_references_dense is pure numpy gathers.
-        self.ref_rids = np.asarray(ref_rids, dtype=np.int64)
-        self.ref_cols = np.asarray(ref_cols, dtype=np.int64)
-        self.ref_locked = (
-            np.asarray(ref_locked, dtype=bool) if locked_blocks else None
-        )
+        self.ref_rids = ref_rids
+        self.ref_cols = ref_cols
+        self.ref_locked = own_locked
 
-        back_targets = set()
+        # Segment boundaries: a vertex continues its predecessor's chain
+        # when it is that vertex's only successor and its only
+        # predecessor, and no back edge targets it.
+        pred_ptr = cols.pred_ptr
+        indeg = np.diff(pred_ptr)
+        outdeg = np.diff(cols.succ_ptr)
+        rids = np.arange(n)
+        cont = np.zeros(n, dtype=bool)
+        first_pred = cols.pred_idx[
+            np.minimum(pred_ptr[:-1], len(cols.pred_idx) - 1)
+        ]
+        cont[1:] = (
+            (indeg[1:] == 1)
+            & (first_pred[1:] == rids[:-1])
+            & (outdeg[:-1] == 1)
+        )
+        cont[cols.back_dst] = False
+        # Cap each chain at MAX_SEGMENT_LEN vertices.
+        run_start = np.maximum.accumulate(np.where(cont, 0, rids))
+        is_start = (rids - run_start) % MAX_SEGMENT_LEN == 0
+
         back_by_target: Dict[int, List[int]] = {}
         for src, dst in acfg.back_edges:
-            back_targets.add(dst)
             back_by_target.setdefault(dst, []).append(src)
+        ptr = pred_ptr.tolist()
+        preds = cols.pred_idx.tolist()
+        self.starts = np.flatnonzero(is_start).tolist()
+        self.ends = self.starts[1:] + [n]
+        self.step_preds = [
+            tuple(preds[ptr[start]:ptr[start + 1]]) for start in self.starts
+        ]
+        self.step_back_srcs = [
+            tuple(back_by_target.get(start, ())) for start in self.starts
+        ]
+        row_bytes = op_rows.tobytes()
+        row_size = op_rows.itemsize * 2
+        self.ops_keys = [
+            row_bytes[start * row_size:end * row_size]
+            for start, end in zip(self.starts, self.ends)
+        ]
+        self._op_rows = op_rows
+        self._ops: List[Optional[List[Tuple[int, ...]]]] = (
+            [None] * len(self.starts)
+        )
+        self.step_of = (np.cumsum(is_start) - 1).tolist()
 
-        pred = acfg._pred
-        succ = acfg._succ
-        steps: List[SegmentStep] = []
-        step_of: List[int] = [0] * n
-        rid = 0
-        while rid < n:
-            start = rid
-            prev = rid
-            rid += 1
-            while (
-                rid < n
-                and rid - start < MAX_SEGMENT_LEN
-                and rid not in back_targets
-            ):
-                p = pred[rid]
-                if len(p) != 1 or p[0] != prev or len(succ[prev]) != 1:
-                    break
-                prev = rid
-                rid += 1
-            index = len(steps)
-            steps.append(SegmentStep(
-                index=index,
-                start=start,
-                end=rid,
-                preds=tuple(pred[start]),
-                back_srcs=tuple(back_by_target.get(start, ())),
-                ops=plan[start:rid],
-            ))
-            step_of[start:rid] = [index] * (rid - start)
-        self.steps = steps
-        self.step_of = step_of
+    def ops(self, index: int) -> List[Tuple[int, ...]]:
+        """Per-vertex access column tuples of one step (``()`` = none)."""
+        found = self._ops[index]
+        if found is None:
+            rows = self._op_rows[self.starts[index]:self.ends[index]]
+            found = [tuple(col for col in row if col >= 0)
+                     for row in rows.tolist()]
+            self._ops[index] = found
+        return found
 
 
 class SegmentMemo:
     """Content-keyed memo of replayed segments.
 
-    Key: ``(domain batch, ops id, in-row bytes)``; value: the chain's
+    Key: ``(domain batch, ops bytes, in-row bytes)``; value: the chain's
     dense *out* matrix only — within a chain, vertex ``k``'s in-state is
     vertex ``k-1``'s out-state, so the in side is reconstructed from the
     key's in-row plus the stored outs.  Entries transfer between
@@ -535,9 +524,9 @@ class SegmentMemo:
         self.misses = 0
         self.clears = 0
         self.stats = stats
-        self._table: Dict[Tuple[tuple, int, bytes], np.ndarray] = {}
+        self._table: Dict[Tuple[tuple, bytes, bytes], np.ndarray] = {}
 
-    def get(self, key: Tuple[tuple, int, bytes]):
+    def get(self, key: Tuple[tuple, bytes, bytes]):
         found = self._table.get(key)
         if found is not None:
             self.hits += 1
@@ -545,7 +534,7 @@ class SegmentMemo:
                 self.stats.kernel_segment_hits += 1
         return found
 
-    def put(self, key: Tuple[tuple, int, bytes],
+    def put(self, key: Tuple[tuple, bytes, bytes],
             seg_out: np.ndarray) -> None:
         self.misses += 1
         if self.stats is not None:
@@ -697,7 +686,7 @@ def propagate_kernel_batch(
     # docstring above).
     topu = np.uint8(assoc)
     num_sets = config.num_sets
-    n = len(schedule.acfg.vertices)
+    n = len(schedule.acfg)
     width = universe.width
 
     dense_in = np.empty((n, depth, width), dtype=np.int8)
@@ -730,9 +719,13 @@ def propagate_kernel_batch(
                 dense_out[:boundary, i, :] = found.dense_out[:boundary]
             reachable[:boundary] = bases[order[0]].reachable[:boundary]
 
-    steps = schedule.steps
+    starts = schedule.starts
+    ends = schedule.ends
+    step_preds = schedule.step_preds
+    step_back_srcs = schedule.step_back_srcs
+    ops_keys = schedule.ops_keys
     step_of = schedule.step_of
-    num_steps = len(steps)
+    num_steps = len(starts)
     changed = [True] * num_steps
     last_in: List[Optional[bytes]] = [None] * num_steps
     # Segments fully below the warm boundary can never re-enter the
@@ -748,19 +741,19 @@ def propagate_kernel_batch(
     for sweep in range(1, MAX_SWEEPS + 1):
         any_changed = False
         first_sweep = sweep == 1
-        for step in steps[first_step:]:
-            index = step.index
+        for index in range(first_step, num_steps):
+            preds = step_preds[index]
+            back_srcs = step_back_srcs[index]
             if not first_sweep:
-                need = any(changed[step_of[p]] for p in step.preds) or any(
-                    changed[step_of[src]] for src in step.back_srcs
+                need = any(changed[step_of[p]] for p in preds) or any(
+                    changed[step_of[src]] for src in back_srcs
                 )
                 if not need:
                     continue
-            start = step.start
-            preds = step.preds
+            start = starts[index]
             if start == source:
                 cur = initial.copy()
-            elif len(preds) == 1 and not step.back_srcs:
+            elif len(preds) == 1 and not back_srcs:
                 # Fast path: chain continuation / single forward pred.
                 p = preds[0]
                 if not reachable[p]:
@@ -768,7 +761,7 @@ def propagate_kernel_batch(
                 cur = dense_out[p].copy()
             else:
                 contributions = [p for p in preds if reachable[p]]
-                for src in step.back_srcs:
+                for src in back_srcs:
                     if reachable[src]:
                         contributions.append(src)
                 if not contributions:
@@ -788,8 +781,8 @@ def propagate_kernel_batch(
                 changed[index] = False
                 continue
             last_in[index] = in_bytes
-            end = step.end
-            key = (order, step.ops_key, in_bytes)
+            end = ends[index]
+            key = (order, ops_keys[index], in_bytes)
             hit = memo.get(key) if memo is not None else None
             if hit is not None:
                 dense_in[start] = cur
@@ -800,7 +793,7 @@ def propagate_kernel_batch(
                 dense_in[start] = cur
                 seg_out = dense_out[start:end]
                 curu = cur.view(np.uint8)
-                for k, ops in enumerate(step.ops):
+                for k, ops in enumerate(schedule.ops(index)):
                     for col in ops:
                         if col == UNKNOWN_COL:
                             # may rows keep the identity transfer
@@ -874,6 +867,24 @@ def classify_references_dense(
     reuses its precompiled reference gather arrays; otherwise they are
     rebuilt from the ACFG.
     """
+    return classifications_from_ranks(
+        dense_classification_ranks(
+            acfg, must, may, persistence, locked_blocks, schedule
+        )
+    )
+
+
+def dense_classification_ranks(
+    acfg: ACFG,
+    must: DenseDataflowResult,
+    may: Optional[DenseDataflowResult],
+    persistence: Optional[DenseDataflowResult],
+    locked_blocks: Optional[frozenset] = None,
+    schedule: Optional[KernelSchedule] = None,
+) -> np.ndarray:
+    """:func:`classify_references_dense` as per-rid
+    :func:`~repro.cache.classify.classification_rank` codes (``-1`` for
+    non-REF vertices)."""
     universe = must.universe
     assoc = universe.config.associativity
     base = universe.base_block
@@ -890,21 +901,10 @@ def classify_references_dense(
     else:
         # Probe columns come from the ACFG directly; every own block is
         # covered by the universe by construction.
-        ref_block = acfg._ref_block
-        ref_rids = [
-            rid for rid, block in enumerate(ref_block) if block is not None
-        ]
-        rids = np.asarray(ref_rids, dtype=np.int64)
-        cols = np.asarray(
-            [ref_block[rid] - base for rid in ref_rids], dtype=np.int64
-        )
-        locked_arr = (
-            np.asarray(
-                [ref_block[rid] in locked for rid in ref_rids], dtype=bool
-            )
-            if locked
-            else None
-        )
+        rids = np.flatnonzero(acfg.columns.is_ref)
+        own = acfg.columns.ref_block[rids]
+        cols = own - base
+        locked_arr = np.isin(own, list(locked)) if locked else None
 
     must_hit = must.reachable[rids] & (must.dense_in[rids, cols] < assoc)
     if locked_arr is not None:
@@ -927,8 +927,6 @@ def classify_references_dense(
         ] = 2
     codes[must_hit] = 3
 
-    table = CLASSIFICATION_LAYERS
-    classifications: list = [None] * len(acfg.vertices)
-    for rid, code in zip(rids.tolist(), codes.tolist()):
-        classifications[rid] = table[code]
-    return classifications
+    ranks = np.full(len(acfg), -1, dtype=np.int8)
+    ranks[rids] = codes
+    return ranks

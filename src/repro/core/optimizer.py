@@ -336,8 +336,9 @@ def _run_pass(
 
     The per-pass artifacts — reverse events, miss uses, execution
     counts, loop ranges — all come (cached) from ``base``; candidate
-    evaluations delta-analyse against ``base`` so only the suffix behind
-    the insertion point is recomputed.
+    evaluations splice their ACFG from ``base``'s and delta-analyse
+    against it so only the suffix behind the insertion point is
+    recomputed.
     """
     acfg = base.acfg
     wcet = base.wcet
@@ -385,7 +386,12 @@ def _run_pass(
             prefetch = work.insert_prefetch(
                 point.block_name, index, miss_vertex.instr.uid
             )
-            candidate = pipeline.analyze(work, with_may=False, base=base)
+            candidate = pipeline.analyze(
+                work,
+                with_may=False,
+                base=base,
+                inserted=(point.block_name, index),
+            )
             new_wcet = candidate.wcet
             ok = True
             if (

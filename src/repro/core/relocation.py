@@ -69,7 +69,7 @@ def insertion_point_after(acfg: ACFG, rid: int) -> Optional[InsertionPoint]:
         return InsertionPoint(vertex.block_name, vertex.index_in_block + 1)
     # Follow the graph to the next reference vertex.
     cursor = rid
-    for _ in range(len(acfg.vertices)):
+    for _ in range(len(acfg)):
         succs = acfg.successors(cursor)
         if not succs:
             return None

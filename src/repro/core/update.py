@@ -146,7 +146,7 @@ def collect_reverse_events(
     Returns:
         Candidate events in detection (reverse-execution) order.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     locked = locked_blocks or frozenset()
     rev_states: List[Optional[MustState]] = [None] * n
     events: List[PrefetchCandidateEvent] = []
@@ -241,7 +241,7 @@ def collect_optimization_states(
         replacement event, in topological (execution) order.  Iterating
         ``reversed(events)`` yields Algorithm 3's reverse visiting order.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     in_states: List[Optional[MustState]] = [None] * n
     out_states: List[Optional[MustState]] = [None] * n
     events: List[EvictionEvent] = []

@@ -83,7 +83,7 @@ def build_data_plan(
     acfg: ACFG, config: CacheConfig
 ) -> List[Optional[tuple]]:
     """The per-vertex access plan of the data cache."""
-    plan: List[Optional[tuple]] = [None] * len(acfg.vertices)
+    plan: List[Optional[tuple]] = [None] * len(acfg)
     for vertex in acfg.ref_vertices():
         access = data_access_of(acfg, vertex.rid)
         if access is None:
@@ -148,7 +148,7 @@ def analyze_data_cache(
         if with_persistence
         else None
     )
-    classifications: List[Optional[Classification]] = [None] * len(acfg.vertices)
+    classifications: List[Optional[Classification]] = [None] * len(acfg)
     for vertex in acfg.ref_vertices():
         rid = vertex.rid
         if plan[rid] is None:
@@ -182,7 +182,7 @@ def data_ref_times(
     (charged on the instruction side); loads/stores cost the data
     cache's hit or miss latency.
     """
-    times = [0.0] * len(acfg.vertices)
+    times = [0.0] * len(acfg)
     for vertex in acfg.ref_vertices():
         rid = vertex.rid
         access = data_access_of(acfg, rid)
@@ -286,7 +286,7 @@ def combined_wcet(
     t_data = data_ref_times(acfg, data, dtiming)
     t_total = [
         instruction.t_w[rid] + t_data[rid]
-        for rid in range(len(acfg.vertices))
+        for rid in range(len(acfg))
     ]
     solution = solve_wcet_path(acfg, t_total)
     charged = set()

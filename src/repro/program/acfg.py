@@ -20,6 +20,15 @@ for every iteration after the first).
 Vertices are created in topological order, so the vertex id (``rid``)
 doubles as a topological index; the reverse walk of Algorithm 3 is simply
 descending-rid iteration.
+
+The graph is stored as numpy columns (:class:`ACFGColumns`: kind and
+prefetch masks, instruction uids, memory blocks, multipliers, CSR
+adjacency and back edges).  :class:`RefVertex` objects and the per-rid
+adjacency tuples are views materialized on first access, so analyses that
+read the columns never pay for them.  :func:`splice_prefetch` derives the
+ACFG of a program with one more prefetch from the ACFG of the program
+without it, by inserting one vertex per VIVU copy of the receiving block
+at the slot a fresh :func:`build_acfg` would give it.
 """
 
 from __future__ import annotations
@@ -28,7 +37,9 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import ProgramModelError
+import numpy as np
+
+from repro.errors import LayoutError, ProgramModelError
 from repro.program.cfg import ControlFlowGraph
 from repro.program.instructions import Instruction
 from repro.program.layout import AddressLayout, MemoryMap
@@ -59,6 +70,16 @@ class VertexKind(enum.Enum):
     SINK = "sink"
     REF = "ref"
     JOIN = "join"
+
+
+#: Vertex kinds by their code in :attr:`ACFGColumns.kind`.
+KIND_CODES: Tuple[VertexKind, ...] = (
+    VertexKind.SOURCE,
+    VertexKind.SINK,
+    VertexKind.REF,
+    VertexKind.JOIN,
+)
+SOURCE_CODE, SINK_CODE, REF_CODE, JOIN_CODE = range(4)
 
 
 @dataclass(slots=True)
@@ -106,116 +127,251 @@ class RefVertex:
         return f"<{self.kind.value}{self.rid}>"
 
 
+@dataclass(slots=True)
+class ACFGColumns:
+    """Per-vertex and per-edge arrays of one ACFG (do not mutate).
+
+    Row ``rid`` describes vertex ``rid``; ``-1`` marks "none".  The CSR
+    pair ``pred_ptr``/``pred_idx`` lists each vertex's forward
+    predecessors in construction order, ``succ_ptr``/``succ_idx`` its
+    successors in ascending rid order.
+    """
+
+    kind: np.ndarray  #: int8 code into :data:`KIND_CODES`
+    is_ref: np.ndarray  #: bool
+    is_prefetch: np.ndarray  #: bool, REF vertices of prefetch instructions
+    instr_uid: np.ndarray  #: int64 instruction uid
+    target_uid: np.ndarray  #: int64 prefetch target uid (code prefetches)
+    context_id: np.ndarray  #: int64 index into :attr:`ACFG.contexts`
+    block_id: np.ndarray  #: int64 index into :attr:`ACFG.block_names`
+    index_in_block: np.ndarray  #: int64
+    ref_block: np.ndarray  #: int64 memory block ``S(r)`` of the instruction
+    target_block: np.ndarray  #: int64 memory block a code prefetch loads
+    multiplier: np.ndarray  #: int64 worst-case execution multiplier
+    pred_ptr: np.ndarray
+    pred_idx: np.ndarray
+    succ_ptr: np.ndarray
+    succ_idx: np.ndarray
+    back_src: np.ndarray  #: analysis-only back edges, source side
+    back_dst: np.ndarray  #: analysis-only back edges, target side
+
+
+def _csr(src: np.ndarray, dst: np.ndarray, n: int):
+    """Pred and succ CSR arrays of an edge list given in pred order.
+
+    Edges must be listed grouped by ascending ``dst`` (each group in the
+    predecessor order to keep); a stable sort by ``src`` then yields the
+    ascending successor lists a fresh build produces.
+    """
+    pred_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst, minlength=n), out=pred_ptr[1:])
+    succ_order = np.argsort(src, kind="stable")
+    succ_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=succ_ptr[1:])
+    return pred_ptr, src, succ_ptr, dst[succ_order]
+
+
 class ACFG:
     """The acyclic abstract control-flow graph of one program.
 
-    Build with :func:`build_acfg`.  The graph is immutable once built;
-    after the optimizer mutates the CFG it constructs a fresh ACFG.
+    Build with :func:`build_acfg` (or derive a one-prefetch-larger graph
+    with :func:`splice_prefetch`).  The graph is immutable once built.
+    It keeps a snapshot of the program's address layout, so its
+    :attr:`layout` and :attr:`memory_map` stay those of the analysed
+    program even after the optimizer mutates the CFG further.
     """
 
     def __init__(
         self,
         cfg: ControlFlowGraph,
-        layout: AddressLayout,
-        memory_map: MemoryMap,
+        columns: ACFGColumns,
+        contexts: List[Context],
+        block_names: Tuple[str, ...],
+        instr_by_uid: Dict[int, Instruction],
+        uid_address: np.ndarray,
+        block_start: np.ndarray,
+        end_address: int,
+        block_size: int,
+        base_address: int,
+        version: int,
+        layout: Optional[AddressLayout] = None,
+        memory_map: Optional[MemoryMap] = None,
     ):
         self.cfg = cfg
-        self.layout = layout
-        self.memory_map = memory_map
-        self.vertices: List[RefVertex] = []
-        self._succ: List[List[int]] = []
-        self._pred: List[List[int]] = []
+        self.columns = columns
+        #: VIVU context table indexed by :attr:`ACFGColumns.context_id`.
+        self.contexts = contexts
+        #: CFG block names in layout order, indexed by ``block_id``.
+        self.block_names = block_names
+        self.block_size = block_size
+        self.base_address = base_address
+        self.source = 0
+        self.sink = len(columns.kind) - 1
         #: Analysis-only loop-closing edges (REST exit -> REST-entry join).
-        self.back_edges: List[Tuple[int, int]] = []
-        self.source: int = -1
-        self.sink: int = -1
-        self._by_key: Dict[Tuple[int, Context], int] = {}
-        #: Worst-case execution multiplier per vertex (context product).
-        self.multiplier: List[int] = []
-        #: Per-rid memory block of the vertex's own instruction
-        #: (``None`` for non-REF vertices) — hot-path cache for
-        #: :meth:`block_of`.
-        self._ref_block: List[Optional[int]] = []
-        #: Per-rid prefetch target block (``None`` unless a prefetch).
-        self._target_block: List[Optional[int]] = []
+        self.back_edges: List[Tuple[int, int]] = list(
+            zip(columns.back_src.tolist(), columns.back_dst.tolist())
+        )
+        # Address snapshot: uid -> byte address (-1 = absent), block
+        # start addresses in layout order, and the uid -> instruction map.
+        self._instr_by_uid = instr_by_uid
+        self._uid_address = uid_address
+        self._block_start = block_start
+        self._end_address = end_address
+        self._version = version
+        self._layout = layout
+        self._memory_map = memory_map
+        # Lazily materialized Python views.
+        self._vertices: Optional[List[RefVertex]] = None
         self._ref_list: Optional[List[RefVertex]] = None
-        #: Context -> execution multiplier; contexts repeat per block
-        #: instance, so memoizing saves a context walk per vertex.
-        self._mult_cache: Dict[Context, int] = {}
+        self._by_key: Optional[Dict[Tuple[int, Context], int]] = None
+        self._pred: Optional[List[Tuple[int, ...]]] = None
+        self._succ: Optional[List[Tuple[int, ...]]] = None
+        self._multiplier: Optional[List[int]] = None
+        self._ref_block: Optional[List[int]] = None
+        self._target_block: Optional[List[int]] = None
+        self._edge_heads: Optional[np.ndarray] = None
+        self._block_rows: Dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    # construction helpers (used by build_acfg)
+    # address snapshot
     # ------------------------------------------------------------------
-    def _new_vertex(
-        self,
-        kind: VertexKind,
-        instr: Optional[Instruction],
-        context: Context,
-        block_name: Optional[str],
-        index_in_block: int,
-        preds: Sequence[int],
-    ) -> int:
-        rid = len(self.vertices)
-        vertex = RefVertex(rid, kind, instr, context, block_name, index_in_block)
-        self.vertices.append(vertex)
-        self._succ.append([])
-        self._pred.append([])
-        mult = self._mult_cache.get(context)
-        if mult is None:
-            mult = execution_multiplier(self.cfg, context)
-            self._mult_cache[context] = mult
-        self.multiplier.append(mult)
-        for pred in preds:
-            self._succ[pred].append(rid)
-            self._pred[rid].append(pred)
-        if instr is not None:
-            key = (instr.uid, context)
-            if key in self._by_key:
-                raise ProgramModelError(
-                    f"duplicate ACFG vertex for instruction {instr.uid} in "
-                    f"context {context_label(context)}"
+    @property
+    def layout(self) -> AddressLayout:
+        """Address layout of the analysed program."""
+        if self._layout is None:
+            addr = self._uid_address
+            uids = np.flatnonzero(addr >= 0)
+            uids = uids[np.argsort(addr[uids], kind="stable")]
+            uid_list = uids.tolist()
+            by_uid = self._instr_by_uid
+            self._layout = AddressLayout.from_snapshot(
+                self.cfg,
+                self.base_address,
+                self._version,
+                order=[by_uid[uid] for uid in uid_list],
+                address_of=dict(zip(uid_list, addr[uids].tolist())),
+                block_start=dict(
+                    zip(self.block_names, self._block_start.tolist())
+                ),
+                end_address=self._end_address,
+            )
+        return self._layout
+
+    @property
+    def memory_map(self) -> MemoryMap:
+        """Block-granular view of :attr:`layout`."""
+        if self._memory_map is None:
+            self._memory_map = MemoryMap(self.layout, self.block_size)
+        return self._memory_map
+
+    # ------------------------------------------------------------------
+    # materialized views
+    # ------------------------------------------------------------------
+    @property
+    def vertices(self) -> List[RefVertex]:
+        """All vertices, topological order (materialized on first use)."""
+        if self._vertices is None:
+            cols = self.columns
+            by_uid = self._instr_by_uid
+            contexts = self.contexts
+            names = self.block_names
+            vertices = []
+            for rid, (code, uid, cid, bid, idx) in enumerate(
+                zip(
+                    cols.kind.tolist(),
+                    cols.instr_uid.tolist(),
+                    cols.context_id.tolist(),
+                    cols.block_id.tolist(),
+                    cols.index_in_block.tolist(),
                 )
-            self._by_key[key] = rid
-            self._ref_block.append(self.memory_map.block_of(instr.uid))
-            if instr.is_prefetch and instr.prefetch_target is not None:
-                self._target_block.append(
-                    self.memory_map.block_of(instr.prefetch_target)
+            ):
+                vertices.append(
+                    RefVertex(
+                        rid,
+                        KIND_CODES[code],
+                        by_uid[uid] if uid >= 0 else None,
+                        contexts[cid],
+                        names[bid] if bid >= 0 else None,
+                        idx,
+                    )
                 )
-            else:
-                self._target_block.append(None)
-        else:
-            self._ref_block.append(None)
-            self._target_block.append(None)
-        return rid
+            self._vertices = vertices
+        return self._vertices
+
+    @property
+    def multiplier(self) -> List[int]:
+        """Worst-case execution multiplier per vertex (context product)."""
+        if self._multiplier is None:
+            self._multiplier = self.columns.multiplier.tolist()
+        return self._multiplier
+
+    def _adjacency(self, ptr: np.ndarray, idx: np.ndarray):
+        ptr_list = ptr.tolist()
+        idx_list = idx.tolist()
+        return [
+            tuple(idx_list[ptr_list[rid]:ptr_list[rid + 1]])
+            for rid in range(len(ptr_list) - 1)
+        ]
+
+    def edge_heads(self) -> np.ndarray:
+        """Head rid of every edge in ``pred_idx`` order (cached)."""
+        if self._edge_heads is None:
+            self._edge_heads = np.repeat(
+                np.arange(len(self)), np.diff(self.columns.pred_ptr)
+            )
+        return self._edge_heads
+
+    def block_rows(self, block_id: int) -> np.ndarray:
+        """Rids of every VIVU copy of one CFG block's vertices (cached)."""
+        rows = self._block_rows.get(block_id)
+        if rows is None:
+            rows = np.flatnonzero(self.columns.block_id == block_id)
+            self._block_rows[block_id] = rows
+        return rows
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.vertices)
-
-    def _freeze(self) -> None:
-        """Convert adjacency to tuples once construction is complete, so
-        the hot accessors below can return them without copying."""
-        self._succ = [tuple(s) for s in self._succ]  # type: ignore[misc]
-        self._pred = [tuple(p) for p in self._pred]  # type: ignore[misc]
+        return len(self.columns.kind)
 
     def successors(self, rid: int) -> Sequence[int]:
-        """Forward (DAG) successors of a vertex (do not mutate)."""
-        succs = self._succ[rid]
-        return succs if isinstance(succs, tuple) else tuple(succs)
+        """Forward (DAG) successors of a vertex."""
+        if self._succ is None:
+            self._succ = self._adjacency(
+                self.columns.succ_ptr, self.columns.succ_idx
+            )
+        return self._succ[rid]
 
     def predecessors(self, rid: int) -> Sequence[int]:
-        """Forward (DAG) predecessors of a vertex (do not mutate)."""
-        preds = self._pred[rid]
-        return preds if isinstance(preds, tuple) else tuple(preds)
+        """Forward (DAG) predecessors of a vertex."""
+        if self._pred is None:
+            self._pred = self._adjacency(
+                self.columns.pred_ptr, self.columns.pred_idx
+            )
+        return self._pred[rid]
 
     def vertex(self, rid: int) -> RefVertex:
         """Vertex by id."""
-        return self.vertices[rid]
+        vertices = self._vertices
+        if vertices is None:
+            vertices = self.vertices
+        return vertices[rid]
 
     def by_key(self, uid: int, context: Context) -> Optional[int]:
         """Vertex id for (instruction uid, context), or ``None``."""
+        if self._by_key is None:
+            cols = self.columns
+            refs = np.flatnonzero(cols.is_ref)
+            contexts = self.contexts
+            self._by_key = {
+                (uid_, contexts[cid]): rid
+                for rid, uid_, cid in zip(
+                    refs.tolist(),
+                    cols.instr_uid[refs].tolist(),
+                    cols.context_id[refs].tolist(),
+                )
+            }
         return self._by_key.get((uid, context))
 
     def iter_topological(self) -> Iterator[RefVertex]:
@@ -234,52 +390,180 @@ class ACFG:
 
     def block_of(self, rid: int) -> int:
         """``S(r)``: memory block id of a REF vertex's instruction."""
+        if self._ref_block is None:
+            self._ref_block = self.columns.ref_block.tolist()
         block = self._ref_block[rid]
-        if block is None:
+        if block < 0:
             raise ProgramModelError(f"vertex {rid} references no memory item")
         return block
 
+    def target_block_or_none(self, rid: int) -> Optional[int]:
+        """Memory block an instruction-cache prefetch vertex loads;
+        ``None`` for non-prefetches and for *data* prefetches (which
+        carry a data-access target instead of a code target)."""
+        if self._target_block is None:
+            self._target_block = self.columns.target_block.tolist()
+        target = self._target_block[rid]
+        return None if target < 0 else target
+
     def prefetch_target_block(self, rid: int) -> int:
         """Memory block an instruction-cache prefetch vertex loads."""
-        target = self._target_block[rid]
+        target = self.target_block_or_none(rid)
         if target is None:
             raise ProgramModelError(f"vertex {rid} is not a prefetch")
         return target
 
-    def target_block_or_none(self, rid: int) -> Optional[int]:
-        """Like :meth:`prefetch_target_block` but ``None`` for non-
-        prefetches and for *data* prefetches (which carry a data-access
-        target instead of a code target)."""
-        return self._target_block[rid]
-
     @property
     def ref_count(self) -> int:
         """Number of REF vertices (|R| in the paper's complexity terms)."""
-        return sum(1 for v in self.vertices if v.is_ref)
+        return int(np.count_nonzero(self.columns.is_ref))
 
     def validate(self) -> None:
         """Check DAG invariants: edges ascend rid, poles are correct."""
-        if self.source != 0 or self.vertices[self.source].kind is not VertexKind.SOURCE:
+        cols = self.columns
+        n = len(cols.kind)
+        if n == 0 or cols.kind[0] != SOURCE_CODE:
             raise ProgramModelError("ACFG source must be vertex 0")
-        if (
-            self.sink != len(self.vertices) - 1
-            or self.vertices[self.sink].kind is not VertexKind.SINK
-        ):
+        if cols.kind[n - 1] != SINK_CODE:
             raise ProgramModelError("ACFG sink must be the last vertex")
-        for rid, succs in enumerate(self._succ):
-            for succ in succs:
-                if succ <= rid:
-                    raise ProgramModelError(
-                        f"edge ({rid}, {succ}) violates topological order"
-                    )
-        for rid in range(1, len(self.vertices)):
-            if not self._pred[rid]:
-                raise ProgramModelError(f"vertex {rid} unreachable (no preds)")
-        for src, dst in self.back_edges:
-            if self.vertices[dst].kind is not VertexKind.JOIN:
-                raise ProgramModelError(
-                    f"back edge ({src}, {dst}) must target a JOIN vertex"
-                )
+        src = np.repeat(np.arange(n), np.diff(cols.succ_ptr))
+        bad = np.flatnonzero(cols.succ_idx <= src)
+        if len(bad):
+            raise ProgramModelError(
+                f"edge ({int(src[bad[0]])}, {int(cols.succ_idx[bad[0]])}) "
+                "violates topological order"
+            )
+        orphans = np.flatnonzero(np.diff(cols.pred_ptr)[1:] == 0)
+        if len(orphans):
+            raise ProgramModelError(
+                f"vertex {int(orphans[0]) + 1} unreachable (no preds)"
+            )
+        bad = np.flatnonzero(cols.kind[cols.back_dst] != JOIN_CODE)
+        if len(bad):
+            raise ProgramModelError(
+                f"back edge ({int(cols.back_src[bad[0]])}, "
+                f"{int(cols.back_dst[bad[0]])}) must target a JOIN vertex"
+            )
+
+
+class _Builder:
+    """Accumulates the columns of one :func:`build_acfg` expansion.
+
+    Edges are recorded in creation order, which is already the pred-CSR
+    order (grouped by ascending head, each group in predecessor order).
+    """
+
+    def __init__(self, cfg: ControlFlowGraph):
+        self.cfg = cfg
+        self.kind: List[int] = []
+        self.uid: List[int] = []
+        self.target: List[int] = []
+        self.prefetch: List[bool] = []
+        self.context: List[int] = []
+        self.block: List[int] = []
+        self.index: List[int] = []
+        self.edge_src: List[int] = []
+        self.edge_dst: List[int] = []
+        self.back_edges: List[Tuple[int, int]] = []
+        self.contexts: List[Context] = []
+        self.context_mult: List[int] = []
+        self._context_ids: Dict[Context, int] = {}
+        self.block_names = tuple(block.name for block in cfg.blocks)
+        self._block_ids = {name: i for i, name in enumerate(self.block_names)}
+        self._block_rows: Dict[str, tuple] = {}
+
+    def _context_id(self, ctx: Context) -> int:
+        cid = self._context_ids.get(ctx)
+        if cid is None:
+            cid = len(self.contexts)
+            self._context_ids[ctx] = cid
+            self.contexts.append(ctx)
+            self.context_mult.append(execution_multiplier(self.cfg, ctx))
+        return cid
+
+    def vertex(self, kind: int, ctx: Context, preds: Sequence[int]) -> int:
+        """Append one non-REF vertex; returns its rid."""
+        rid = len(self.kind)
+        self.kind.append(kind)
+        self.uid.append(-1)
+        self.target.append(-1)
+        self.prefetch.append(False)
+        self.context.append(self._context_id(ctx))
+        self.block.append(-1)
+        self.index.append(-1)
+        self.edge_src.extend(preds)
+        self.edge_dst.extend([rid] * len(preds))
+        return rid
+
+    def block_chain(self, block_name: str, ctx: Context,
+                    preds: Sequence[int]) -> List[int]:
+        """Append the REF chain of one block instance; returns its exit."""
+        rows = self._block_rows.get(block_name)
+        if rows is None:
+            instrs = self.cfg.block(block_name).instructions
+            if not instrs:
+                raise ProgramModelError(f"block {block_name!r} is empty")
+            rows = (
+                [instr.uid for instr in instrs],
+                [
+                    instr.prefetch_target
+                    if instr.is_prefetch and instr.prefetch_target is not None
+                    else -1
+                    for instr in instrs
+                ],
+                [instr.is_prefetch for instr in instrs],
+            )
+            self._block_rows[block_name] = rows
+        uids, targets, prefetch = rows
+        size = len(uids)
+        first = len(self.kind)
+        self.kind.extend([REF_CODE] * size)
+        self.uid.extend(uids)
+        self.target.extend(targets)
+        self.prefetch.extend(prefetch)
+        self.context.extend([self._context_id(ctx)] * size)
+        self.block.extend([self._block_ids[block_name]] * size)
+        self.index.extend(range(size))
+        self.edge_src.extend(preds)
+        self.edge_dst.extend([first] * len(preds))
+        self.edge_src.extend(range(first, first + size - 1))
+        self.edge_dst.extend(range(first + 1, first + size))
+        return [first + size - 1]
+
+
+def _address_snapshot(layout: AddressLayout):
+    """``(instr_by_uid, uid_address, block_start)`` of a layout."""
+    instr_by_uid = {
+        instr.uid: instr for instr in layout.instructions_in_order()
+    }
+    addresses = layout.addresses()
+    uids = np.fromiter(addresses, dtype=np.int64, count=len(addresses))
+    uid_address = np.full(int(uids.max()) + 1 if len(uids) else 0, -1,
+                          dtype=np.int64)
+    uid_address[uids] = np.fromiter(
+        addresses.values(), dtype=np.int64, count=len(addresses)
+    )
+    block_start = np.asarray(
+        [layout.block_start(block.name) for block in layout.cfg.blocks],
+        dtype=np.int64,
+    )
+    return instr_by_uid, uid_address, block_start
+
+
+def _memory_blocks(uids: np.ndarray, uid_address: np.ndarray,
+                   block_size: int) -> np.ndarray:
+    """Memory block per uid (``-1`` where the uid is ``-1``)."""
+    return np.where(uids >= 0, uid_address[uids] // block_size, -1)
+
+
+def _check_laid_out(uids: np.ndarray, uid_address: np.ndarray) -> None:
+    """Raise unless every uid other than ``-1`` has an address."""
+    wanted = uids[uids >= 0]
+    outside = wanted[wanted >= len(uid_address)]
+    if not len(outside):
+        outside = wanted[uid_address[wanted] < 0]
+    if len(outside):
+        raise LayoutError(f"instruction uid {outside[0]} not in memory map")
 
 
 def build_acfg(
@@ -305,90 +589,300 @@ def build_acfg(
         raise ProgramModelError("CFG has no structure tree; use ProgramBuilder")
     layout = AddressLayout(cfg, base_address)
     memory_map = MemoryMap(layout, block_size)
-    acfg = ACFG(cfg, layout, memory_map)
-    acfg.source = acfg._new_vertex(VertexKind.SOURCE, None, TOP, None, -1, ())
+    builder = _Builder(cfg)
+    source = builder.vertex(SOURCE_CODE, TOP, ())
+    exits = _expand(builder, cfg.structure, TOP, [source])
+    builder.vertex(SINK_CODE, TOP, exits)
 
-    exits = _expand(acfg, cfg.structure, TOP, [acfg.source])
-    acfg.sink = acfg._new_vertex(VertexKind.SINK, None, TOP, None, -1, exits)
-    acfg._freeze()
+    n = len(builder.kind)
+    kind = np.asarray(builder.kind, dtype=np.int8)
+    uid = np.asarray(builder.uid, dtype=np.int64)
+    context_id = np.asarray(builder.context, dtype=np.int64)
+    is_ref = kind == REF_CODE
+    _check_unique_keys(uid, context_id, is_ref, builder.contexts)
+    instr_by_uid, uid_address, block_start = _address_snapshot(layout)
+    target = np.asarray(builder.target, dtype=np.int64)
+    _check_laid_out(target, uid_address)
+    pred_ptr, pred_idx, succ_ptr, succ_idx = _csr(
+        np.asarray(builder.edge_src, dtype=np.int64),
+        np.asarray(builder.edge_dst, dtype=np.int64),
+        n,
+    )
+    back = np.asarray(builder.back_edges, dtype=np.int64).reshape(-1, 2)
+    columns = ACFGColumns(
+        kind=kind,
+        is_ref=is_ref,
+        is_prefetch=np.asarray(builder.prefetch, dtype=bool),
+        instr_uid=uid,
+        target_uid=target,
+        context_id=context_id,
+        block_id=np.asarray(builder.block, dtype=np.int64),
+        index_in_block=np.asarray(builder.index, dtype=np.int64),
+        ref_block=_memory_blocks(uid, uid_address, block_size),
+        target_block=_memory_blocks(target, uid_address, block_size),
+        multiplier=np.asarray(builder.context_mult, dtype=np.int64)[context_id],
+        pred_ptr=pred_ptr,
+        pred_idx=pred_idx,
+        succ_ptr=succ_ptr,
+        succ_idx=succ_idx,
+        back_src=back[:, 0].copy(),
+        back_dst=back[:, 1].copy(),
+    )
+    acfg = ACFG(
+        cfg,
+        columns,
+        builder.contexts,
+        builder.block_names,
+        instr_by_uid,
+        uid_address,
+        block_start,
+        layout.end_address,
+        block_size,
+        base_address,
+        cfg.version,
+        layout=layout,
+        memory_map=memory_map,
+    )
     acfg.validate()
     return acfg
 
 
-def _expand_block(
-    acfg: ACFG, block_name: str, ctx: Context, preds: List[int]
-) -> List[int]:
-    block = acfg.cfg.block(block_name)
-    if not block.instructions:
-        raise ProgramModelError(f"block {block_name!r} is empty")
-    current = preds
-    for idx, instr in enumerate(block.instructions):
-        rid = acfg._new_vertex(
-            VertexKind.REF, instr, ctx, block_name, idx, current
+def _check_unique_keys(uid: np.ndarray, context_id: np.ndarray,
+                       is_ref: np.ndarray, contexts: List[Context]) -> None:
+    """Reject two REF vertices with the same (instruction, context)."""
+    refs = np.flatnonzero(is_ref)
+    keys = uid[refs] * max(len(contexts), 1) + context_id[refs]
+    _, first = np.unique(keys, return_index=True)
+    if len(first) == len(refs):
+        return
+    seen = np.zeros(len(refs), dtype=bool)
+    seen[first] = True
+    dup = refs[np.flatnonzero(~seen)[0]]
+    raise ProgramModelError(
+        f"duplicate ACFG vertex for instruction {int(uid[dup])} in "
+        f"context {context_label(contexts[int(context_id[dup])])}"
+    )
+
+
+def splice_prefetch(
+    base: ACFG,
+    cfg: ControlFlowGraph,
+    block_name: str,
+    index: int,
+) -> ACFG:
+    """The ACFG of ``cfg``, derived from ``base`` without re-expansion.
+
+    ``cfg`` must be ``base``'s program with exactly one prefetch inserted
+    at ``cfg.block(block_name).instructions[index]``.  One REF vertex is
+    inserted per VIVU copy of the block, at the slot a fresh
+    :func:`build_acfg` gives it: right after ``(instr[index-1], ctx)``,
+    or right before ``(instr[0], ctx)`` when ``index == 0``.  The new
+    vertex inherits that neighbour's out-edges (resp. in-edges, in the
+    same order), back edges are moved along, rids shift, and memory
+    blocks are recomputed from the shifted address layout.  The result
+    equals ``build_acfg(cfg, ...)`` column for column.
+    """
+    block = cfg.block(block_name)
+    instrs = block.instructions
+    if not 0 <= index < len(instrs):
+        raise ProgramModelError(
+            f"splice index {index} out of range for block {block_name!r}"
         )
-        current = [rid]
-    return current
+    prefetch = instrs[index]
+    old_len = len(instrs) - 1
+    if (
+        not prefetch.is_prefetch
+        or prefetch.uid in base._instr_by_uid
+        or old_len < 1
+    ):
+        raise ProgramModelError(
+            f"block {block_name!r}[{index}] is not a prefetch inserted "
+            "into the base program"
+        )
+    cols = base.columns
+    n = len(cols.kind)
+    bid = base.block_names.index(block_name)
+
+    # One insertion per VIVU copy of the block, in ascending rid order.
+    in_block = base.block_rows(bid)
+    neighbours = in_block[
+        cols.index_in_block[in_block] == (index - 1 if index else 0)
+    ]
+    neighbour_uid = instrs[index - 1].uid if index else instrs[1].uid
+    if (cols.instr_uid[neighbours] != neighbour_uid).any():
+        raise ProgramModelError(
+            f"block {block_name!r} of the base program does not match"
+        )
+    gaps = neighbours + 1 if index else neighbours
+    copies = len(gaps)
+    new_rids = gaps + np.arange(copies)
+    rids = np.arange(n)
+    new_of_old = rids + np.searchsorted(gaps, rids, side="right")
+    copy_of = np.full(n, -1, dtype=np.int64)
+    copy_of[neighbours] = np.arange(copies)
+    # Row sources: old rows move to their shifted rid, and each new row
+    # starts as a copy of its neighbour — same kind, context, block and
+    # multiplier — before taking the prefetch's own fields.
+    take = np.empty(n + copies, dtype=np.int64)
+    take[new_of_old] = rids
+    take[new_rids] = neighbours
+
+    def spliced(column: np.ndarray, value) -> np.ndarray:
+        out = column[take]
+        out[new_rids] = value
+        return out
+
+    index_in_block = spliced(cols.index_in_block, index)
+    shifted = in_block[cols.index_in_block[in_block] >= index]
+    index_in_block[new_of_old[shifted]] += 1
+    target_uid = (
+        prefetch.prefetch_target if prefetch.prefetch_target is not None else -1
+    )
+
+    # Edges: the new vertex takes over the neighbour's out-edges (or,
+    # at index 0, its in-edges) in place, then links to the neighbour.
+    src = cols.pred_idx
+    dst = base.edge_heads()
+    src_new = new_of_old[src]
+    dst_new = new_of_old[dst]
+    back_src = new_of_old[cols.back_src]
+    if index:
+        moved = copy_of[src] >= 0
+        src_new[moved] = new_rids[copy_of[src[moved]]]
+        moved = copy_of[cols.back_src] >= 0
+        back_src[moved] = new_rids[copy_of[cols.back_src[moved]]]
+        link_src, link_dst = new_of_old[neighbours], new_rids
+    else:
+        moved = copy_of[dst] >= 0
+        dst_new[moved] = new_rids[copy_of[dst[moved]]]
+        link_src, link_dst = new_rids, new_of_old[neighbours]
+    all_src = np.concatenate((src_new, link_src))
+    all_dst = np.concatenate((dst_new, link_dst))
+    order = np.argsort(all_dst, kind="stable")
+    pred_ptr, pred_idx, succ_ptr, succ_idx = _csr(
+        all_src[order], all_dst[order], n + copies
+    )
+
+    # Addresses: everything laid out from the insertion point on moves
+    # up by the prefetch's size.
+    uid_address = base._uid_address
+    if index < old_len:
+        insert_at = int(uid_address[instrs[index + 1].uid])
+    else:
+        last = instrs[index - 1]
+        insert_at = int(uid_address[last.uid]) + last.size
+    size = prefetch.size
+    uid_address = np.where(uid_address >= insert_at, uid_address + size,
+                           uid_address)
+    if prefetch.uid >= len(uid_address):
+        uid_address = np.concatenate(
+            (uid_address,
+             np.full(prefetch.uid + 1 - len(uid_address), -1, np.int64))
+        )
+    uid_address[prefetch.uid] = insert_at
+    block_start = base._block_start + size * (
+        np.arange(len(base.block_names)) > bid
+    )
+
+    if target_uid >= 0 and (
+        target_uid >= len(uid_address) or uid_address[target_uid] < 0
+    ):
+        raise LayoutError(f"instruction uid {target_uid} not in memory map")
+    instr_uid = spliced(cols.instr_uid, prefetch.uid)
+    targets = spliced(cols.target_uid, target_uid)
+    block_size = base.block_size
+    columns = ACFGColumns(
+        kind=cols.kind[take],
+        is_ref=cols.is_ref[take],
+        is_prefetch=spliced(cols.is_prefetch, True),
+        instr_uid=instr_uid,
+        target_uid=targets,
+        context_id=cols.context_id[take],
+        block_id=cols.block_id[take],
+        index_in_block=index_in_block,
+        ref_block=_memory_blocks(instr_uid, uid_address, block_size),
+        target_block=_memory_blocks(targets, uid_address, block_size),
+        multiplier=cols.multiplier[take],
+        pred_ptr=pred_ptr,
+        pred_idx=pred_idx,
+        succ_ptr=succ_ptr,
+        succ_idx=succ_idx,
+        back_src=back_src,
+        back_dst=new_of_old[cols.back_dst],
+    )
+    instr_by_uid = dict(base._instr_by_uid)
+    instr_by_uid[prefetch.uid] = prefetch
+    return ACFG(
+        cfg,
+        columns,
+        base.contexts,
+        base.block_names,
+        instr_by_uid,
+        uid_address,
+        block_start,
+        base._end_address + size,
+        block_size,
+        base.base_address,
+        cfg.version,
+    )
 
 
-def _join(acfg: ACFG, ctx: Context, preds: List[int]) -> List[int]:
+def _join(builder: _Builder, ctx: Context, preds: List[int]) -> List[int]:
     """Insert a JOIN vertex when paths converge (no-op for single pred)."""
     if len(preds) <= 1:
         return list(preds)
-    rid = acfg._new_vertex(VertexKind.JOIN, None, ctx, None, -1, preds)
-    return [rid]
+    return [builder.vertex(JOIN_CODE, ctx, preds)]
 
 
 def _expand(
-    acfg: ACFG, node: StructureNode, ctx: Context, preds: List[int]
+    builder: _Builder, node: StructureNode, ctx: Context, preds: List[int]
 ) -> List[int]:
     """Recursively expand ``node`` under context ``ctx``.
 
     ``preds`` are the vertex ids whose out-edges reach the node's first
     vertex; the return value is the list of exit vertex ids.
     """
-    cfg = acfg.cfg
+    cfg = builder.cfg
     if isinstance(node, BlockNode):
-        return _expand_block(acfg, node.block_name, ctx, preds)
+        return builder.block_chain(node.block_name, ctx, preds)
     if isinstance(node, SeqNode):
         current = preds
         for item in node.items:
-            current = _expand(acfg, item, ctx, current)
+            current = _expand(builder, item, ctx, current)
         return current
     if isinstance(node, IfElseNode):
-        cond_exits = _expand_block(acfg, node.cond_block, ctx, preds)
-        then_exits = _expand(acfg, node.then_node, ctx, list(cond_exits))
+        cond_exits = builder.block_chain(node.cond_block, ctx, preds)
+        then_exits = _expand(builder, node.then_node, ctx, list(cond_exits))
         if node.else_node is not None:
-            else_exits = _expand(acfg, node.else_node, ctx, list(cond_exits))
+            else_exits = _expand(builder, node.else_node, ctx, list(cond_exits))
         else:
             else_exits = list(cond_exits)
-        return _join(acfg, ctx, then_exits + else_exits)
+        return _join(builder, ctx, then_exits + else_exits)
     if isinstance(node, SwitchNode):
-        sel_exits = _expand_block(acfg, node.selector_block, ctx, preds)
+        sel_exits = builder.block_chain(node.selector_block, ctx, preds)
         all_exits: List[int] = []
         for case in node.cases:
-            all_exits.extend(_expand(acfg, case, ctx, list(sel_exits)))
-        return _join(acfg, ctx, all_exits)
+            all_exits.extend(_expand(builder, case, ctx, list(sel_exits)))
+        return _join(builder, ctx, all_exits)
     if isinstance(node, LoopNode):
         info = cfg.loops[node.loop_name]
         first_ctx = enter_loop_first(ctx, node.loop_name)
-        first_exits = _expand(acfg, node.body, first_ctx, preds)
+        first_exits = _expand(builder, node.body, first_ctx, preds)
         if info.bound < 2:
             return first_exits
         rest_ctx = enter_loop_rest(ctx, node.loop_name)
         # REST entry join merges the first iteration's exit with the
         # (broken) back edge from the REST exit.
-        entry_join = acfg._new_vertex(
-            VertexKind.JOIN, None, rest_ctx, None, -1, first_exits
-        )
-        rest_exits = _expand(acfg, node.body, rest_ctx, [entry_join])
+        entry_join = builder.vertex(JOIN_CODE, rest_ctx, first_exits)
+        rest_exits = _expand(builder, node.body, rest_ctx, [entry_join])
         for rexit in rest_exits:
-            acfg.back_edges.append((rexit, entry_join))
+            builder.back_edges.append((rexit, entry_join))
         # After the loop, control may come from iteration 1 (if the
         # concrete trip count is 1) or from the REST instance.
-        return _join(acfg, ctx, first_exits + rest_exits)
+        return _join(builder, ctx, first_exits + rest_exits)
     if isinstance(node, CallNode):
-        call_exits = _expand_block(acfg, node.call_block, ctx, preds)
+        call_exits = builder.block_chain(node.call_block, ctx, preds)
         info = cfg.functions[node.function_name]
         body_ctx = enter_call(ctx, node.site_id)
-        return _expand(acfg, info.structure, body_ctx, call_exits)
+        return _expand(builder, info.structure, body_ctx, call_exits)
     raise ProgramModelError(f"unknown structure node {type(node).__name__}")

@@ -51,6 +51,34 @@ class AddressLayout:
                 addr += instr.size
         self.end_address = addr
 
+    @classmethod
+    def from_snapshot(
+        cls,
+        cfg: ControlFlowGraph,
+        base_address: int,
+        version: int,
+        order: List[Instruction],
+        address_of: Dict[int, int],
+        block_start: Dict[str, int],
+        end_address: int,
+    ) -> "AddressLayout":
+        """A layout from recorded placement data instead of a CFG walk.
+
+        Used by :class:`~repro.program.acfg.ACFG`, which keeps the
+        placement of the program it was built for as arrays and rebuilds
+        the layout object on demand; ``version`` is the CFG version the
+        placement belongs to.
+        """
+        layout = cls.__new__(cls)
+        layout._cfg = cfg
+        layout.base_address = base_address
+        layout.version = version
+        layout._address_of = address_of
+        layout._block_start = block_start
+        layout._order = order
+        layout.end_address = end_address
+        return layout
+
     @property
     def cfg(self) -> ControlFlowGraph:
         """The CFG this layout was computed from."""
@@ -66,6 +94,10 @@ class AddressLayout:
             return self._address_of[uid]
         except KeyError:
             raise LayoutError(f"instruction uid {uid} not in layout") from None
+
+    def addresses(self) -> Dict[int, int]:
+        """``{uid: byte address}`` of every instruction (do not mutate)."""
+        return self._address_of
 
     def block_start(self, block_name: str) -> int:
         """Byte address of the first instruction of a basic block."""

@@ -69,7 +69,7 @@ def locked_wcet(
     acfg: ACFG, timing: TimingModel, locked_blocks: Set[int]
 ) -> PathSolution:
     """WCET path under full locking: hit iff the block is locked."""
-    times: List[float] = [0.0] * len(acfg.vertices)
+    times: List[float] = [0.0] * len(acfg)
     for vertex in acfg.ref_vertices():
         block = acfg.block_of(vertex.rid)
         if block in locked_blocks:
