@@ -11,9 +11,7 @@ Two figures gate the observability layer's "near zero when off" claim:
   path, measured over a tight loop.  This is the only cost untraced
   runs pay at each instrumentation point.
 * ``overhead_pct`` — wall-clock penalty of fully-sampled tracing on
-  ``optimize``.  ``--check`` gates on it (default limit 25%); the
-  tracing-disabled regression is guarded separately by
-  ``bench_pipeline.py --check`` against its recorded baseline.
+  ``optimize``.  ``--check`` gates on it (default limit 25%).
 
 Usage::
 

@@ -1,28 +1,21 @@
-"""Microbenchmark of the incremental analysis pipeline.
+"""Microbenchmark of the analysis pipeline.
 
 Times the full multi-pass ``optimize`` loop — the workload the pipeline
 exists to accelerate — on three Mälardalen programs, verifies that the
-results are bit-identical to the recorded pre-refactor outcomes, and
-writes ``BENCH_pipeline.json``.
+outcomes equal the pinned ones below, and writes
+``BENCH_pipeline.json``.  Any outcome mismatch exits non-zero.
 
-Two speedup figures are reported:
-
-* ``speedup_recorded`` — measured time against the pre-refactor wall
-  time recorded below.  Those baselines were taken on the development
-  machine (commit ddb8059, the last revision where ``optimize`` re-ran
-  the whole analysis from scratch per candidate), so this figure is
-  only meaningful on comparable hardware.  ``--check`` gates on it.
-* ``speedup_estimated`` — measured time against ``cold_analyze_s ×
-  (candidates + 1)``: one full (post-refactor) analysis per candidate
-  plus the initial one.  Informational only — the cold analysis itself
-  got ~2x faster in the same refactor (ACFG construction and transfer
-  memoisation), so this understates the win over the true pre-refactor
-  loop.
+``speedup_estimated`` is the one speed figure, measured in the same run
+on the same machine: ``cold_analyze_s × (candidates + 1)`` — one
+standalone :func:`~repro.analysis.wcet.analyze_wcet` per candidate plus
+the initial one — over the measured ``optimize`` time.  It shows what
+the pipeline's caches and ACFG splicing save against analysing every
+candidate from scratch.
 
 Usage::
 
     python benchmarks/bench_pipeline.py [--output BENCH_pipeline.json]
-        [--budget 120] [--check]
+        [--budget 120]
 """
 
 from __future__ import annotations
@@ -46,26 +39,22 @@ CONFIG_ID = "k1"
 TECH = "45nm"
 BUDGET = 120
 
-#: Pre-refactor wall time (s) of ``optimize`` with the parameters above,
-#: measured at commit ddb8059 on the development machine, and the final
-#: outcomes — which the refactor must reproduce bit-identically.
-RECORDED = {
+#: Pinned ``optimize`` outcomes with the parameters above; every change
+#: to the pipeline must reproduce them bit-identically.
+OUTCOMES = {
     "fdct": {
-        "prerefactor_s": 4.561,
         "tau_final": 21537.0,
         "misses_final": 555,
         "passes": 34,
         "prefetches": 33,
     },
     "ndes": {
-        "prerefactor_s": 2.384,
         "tau_final": 51123.0,
         "misses_final": 1164,
         "passes": 7,
         "prefetches": 6,
     },
     "adpcm": {
-        "prerefactor_s": 10.112,
         "tau_final": 67730.0,
         "misses_final": 1649,
     },
@@ -88,7 +77,7 @@ def bench_program(name: str, budget: int) -> Dict[str, Any]:
     _, report = optimize(load(name), config, timing, options=options)
     optimize_s = time.perf_counter() - start
 
-    estimated_prerefactor_s = cold_analyze_s * (report.candidates_evaluated + 1)
+    all_cold_s = cold_analyze_s * (report.candidates_evaluated + 1)
     row: Dict[str, Any] = {
         "program": name,
         "optimize_s": round(optimize_s, 3),
@@ -99,20 +88,16 @@ def bench_program(name: str, budget: int) -> Dict[str, Any]:
         "tau_final": report.tau_final,
         "misses_final": report.misses_final,
         "pipeline": dict(report.pipeline),
-        "prerefactor_recorded_s": RECORDED[name]["prerefactor_s"],
-        "prerefactor_estimated_s": round(estimated_prerefactor_s, 3),
-        "speedup_recorded": round(
-            RECORDED[name]["prerefactor_s"] / optimize_s, 2
-        ),
-        "speedup_estimated": round(estimated_prerefactor_s / optimize_s, 2),
+        "all_cold_estimated_s": round(all_cold_s, 3),
+        "speedup_estimated": round(all_cold_s / optimize_s, 2),
     }
 
     mismatches = []
     for key in ("tau_final", "misses_final", "passes", "prefetches"):
-        expected = RECORDED[name].get(key)
+        expected = OUTCOMES[name].get(key)
         if expected is not None and row[key] != expected:
             mismatches.append(f"{key}: expected {expected}, got {row[key]}")
-    row["matches_recorded_outcome"] = not mismatches
+    row["outcome_matches"] = not mismatches
     row["mismatches"] = mismatches
     return row
 
@@ -121,25 +106,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_pipeline.json")
     parser.add_argument("--budget", type=int, default=BUDGET)
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help="also require >= 2x speedup against the *recorded* baseline "
-        "(only meaningful on hardware comparable to the dev machine)",
-    )
     args = parser.parse_args(argv)
 
     rows = []
-    for name in RECORDED:
+    for name in OUTCOMES:
         print(f"benchmarking optimize on {name} "
               f"({CONFIG_ID}/{TECH}, budget {args.budget})...",
               file=sys.stderr)
         row = bench_program(name, args.budget)
         print(
             f"  {row['optimize_s']:.2f}s "
-            f"({row['speedup_recorded']:.2f}x recorded, "
-            f"{row['speedup_estimated']:.2f}x estimated), "
-            f"outcome match: {row['matches_recorded_outcome']}",
+            f"({row['speedup_estimated']:.2f}x estimated), "
+            f"outcome match: {row['outcome_matches']}",
             file=sys.stderr,
         )
         rows.append(row)
@@ -149,32 +127,22 @@ def main(argv=None) -> int:
         "config": CONFIG_ID,
         "tech": TECH,
         "budget": args.budget,
-        "baseline_commit": "ddb8059",
-        "baseline_machine_note": (
-            "prerefactor_recorded_s measured on the dev machine; "
-            "speedup_estimated is the machine-local comparison"
-        ),
         "python": platform.python_version(),
         "machine": platform.machine(),
         "programs": rows,
-        "min_speedup_recorded": min(r["speedup_recorded"] for r in rows),
         "min_speedup_estimated": min(r["speedup_estimated"] for r in rows),
-        "all_outcomes_match": all(r["matches_recorded_outcome"] for r in rows),
+        "all_outcomes_match": all(r["outcome_matches"] for r in rows),
     }
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(document, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {args.output}", file=sys.stderr)
 
-    failures = []
-    if not document["all_outcomes_match"]:
-        for row in rows:
-            for mismatch in row["mismatches"]:
-                failures.append(f"{row['program']}: {mismatch}")
-    if args.check and document["min_speedup_recorded"] < 2.0:
-        failures.append(
-            f"recorded speedup {document['min_speedup_recorded']}x < 2x"
-        )
+    failures = [
+        f"{row['program']}: {mismatch}"
+        for row in rows
+        for mismatch in row["mismatches"]
+    ]
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

@@ -1,4 +1,4 @@
-"""Staged, cached, incremental WCET analysis (the analysis pipeline).
+"""Staged, cached WCET analysis (the analysis pipeline).
 
 :func:`repro.analysis.wcet.analyze_wcet` recomputes everything from the
 CFG on every call.  That is the right interface for one-shot analyses,
@@ -23,22 +23,17 @@ decomposes the analysis into explicitly cached stages:
    memoizes ``update``/``join``/``unknown_access`` by value, so the
    fixpoint engine never recomputes a transfer it has already seen —
    across candidates, passes, and use-case phases.
-3. **Delta re-analysis** — after a prefetch insertion the pipeline
-   computes the *divergence boundary*: the first reference vertex at
-   which the old and new ACFGs differ, lowered (closure) until no back
-   edge of either graph crosses from at-or-above the boundary into the
-   prefix.  Below the boundary the dataflow equations, classifications,
-   ``t_w`` entries and IPET table entries of the base analysis are
-   provably unchanged, so the fixpoint and the structural solve
-   warm-start there and only the affected suffix is recomputed.  The
-   latency guard is not warm-started: it answers all of its slack
-   queries in one batched shortest-path pass per analysis, which is
-   cheaper than tracking which verdicts survive.  When the invariants
-   cannot be established (no base,
-   foreign base, boundary 0) the pipeline falls back to a cold run; a
-   ``differential`` mode re-runs every delta analysis from scratch and
-   asserts bit-identical ``tau_w``, classifications and
-   ``wcet_path_misses``.
+3. **Cold stages** — every analysis runs the fixpoint, classify,
+   refine, l2, guard and ipet stages from scratch on its (possibly
+   spliced) ACFG, so a candidate's result is the same computation
+   :func:`~repro.analysis.wcet.analyze_wcet` performs on a fresh
+   :func:`~repro.program.acfg.build_acfg`.  Reuse across candidates
+   comes from the content-keyed memos alone: the :class:`TransferCache`
+   of the python kernel and the
+   :class:`~repro.cache.kernel.SegmentMemo` of the vectorized kernel
+   replay every transfer or chain whose inputs were seen before.  The
+   latency guard answers all of its slack queries in one batched
+   shortest-path pass per analysis.
 
 Counters for every cache (hits/misses/invalidations) and per-stage
 wall-clock accumulate in :class:`PipelineStats`; the counters are
@@ -55,8 +50,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.analysis.refine import (
     RefinementResult,
     apply_promotions,
@@ -64,13 +57,12 @@ from repro.analysis.refine import (
     refine_classifications,
 )
 from repro.analysis.slack import rest_instance_spans
-from repro.analysis.structural import solve_wcet_path_tables
+from repro.analysis.structural import solve_wcet_path
 from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import (
     WCETResult,
     _charged_persistent_blocks,
     _latency_guard,
-    analyze_wcet,
     compute_ref_times,
 )
 from repro.cache.abstract import MayState, MustState
@@ -128,11 +120,7 @@ class PipelineStats:
     transfer_misses: int = 0
     kernel_segment_hits: int = 0
     kernel_segment_misses: int = 0
-    delta_runs: int = 0
-    cold_runs: int = 0
-    delta_fallbacks: int = 0
     invalidations: int = 0
-    differential_checks: int = 0
     refine_runs: int = 0
     refine_promotions: int = 0
     refine_states: int = 0
@@ -155,11 +143,7 @@ class PipelineStats:
             "transfer_misses": self.transfer_misses,
             "kernel_segment_hits": self.kernel_segment_hits,
             "kernel_segment_misses": self.kernel_segment_misses,
-            "delta_runs": self.delta_runs,
-            "cold_runs": self.cold_runs,
-            "delta_fallbacks": self.delta_fallbacks,
             "invalidations": self.invalidations,
-            "differential_checks": self.differential_checks,
         }
         # The refinement counters join the snapshot only when the stage
         # ran, so every refine-off report stays byte-identical to the
@@ -311,7 +295,7 @@ class StructuralArtifacts:
 
 
 class PipelineResult:
-    """One analysis run: WCET bundle + reusable solver/dataflow state.
+    """One analysis run: the WCET bundle and its structural artifacts.
 
     Also carries the optimizer's per-pass derived artifacts
     (:meth:`reverse_events`, :meth:`exec_counts`, :meth:`miss_uses`)
@@ -323,18 +307,13 @@ class PipelineResult:
     for the cyclic garbage collector.
     """
 
-    __slots__ = ("_owner", "artifacts", "wcet", "dataflows", "best",
-                 "best_pred", "with_may", "locked_blocks",
+    __slots__ = ("_owner", "artifacts", "wcet", "with_may", "locked_blocks",
                  "_reverse_events", "_exec_counts", "_miss_uses")
 
-    def __init__(self, owner, artifacts, wcet, dataflows, best, best_pred,
-                 with_may, locked_blocks):
+    def __init__(self, owner, artifacts, wcet, with_may, locked_blocks):
         self._owner = weakref.ref(owner)
         self.artifacts = artifacts
         self.wcet = wcet
-        self.dataflows = dataflows
-        self.best = best
-        self.best_pred = best_pred
         self.with_may = with_may
         self.locked_blocks = locked_blocks
         self._reverse_events = None
@@ -493,60 +472,6 @@ def spliced_content_key(base_key, cfg: ControlFlowGraph, block_name: str,
     return (base_key[0], blocks) + base_key[2:]
 
 
-def divergence_boundary(old: ACFG, new: ACFG) -> int:
-    """The warm-start boundary between two ACFGs.
-
-    Returns the largest ``b`` such that every analysis equation of
-    vertices ``rid < b`` is identical in both graphs: first the lowest
-    rid whose vertex differs in anything the dataflow and IPET equations
-    read (kind, context, instruction uid, prefetch role and target,
-    memory blocks, execution multiplier, or forward predecessor list),
-    then lowered by closure until no back edge of *either* graph — and
-    no back edge present in only one of them — targets the prefix from
-    at or above the boundary.  With that closure, the prefix fixpoint
-    states, classifications, ``t_w`` entries and IPET table entries of
-    the base analysis carry over unchanged.
-
-    Returns 0 when nothing can be reused.
-    """
-    a, c = old.columns, new.columns
-    n = min(len(old), len(new))
-    if old.contexts is new.contexts or old.contexts == new.contexts:
-        new_context = c.context_id[:n]
-    else:
-        old_ids = {ctx: cid for cid, ctx in enumerate(old.contexts)}
-        translate = np.asarray(
-            [old_ids.get(ctx, -1) for ctx in new.contexts], dtype=np.int64
-        )
-        new_context = translate[c.context_id[:n]]
-    differs = a.context_id[:n] != new_context
-    for name in ("kind", "instr_uid", "is_prefetch", "target_uid",
-                 "ref_block", "target_block", "multiplier"):
-        differs |= getattr(a, name)[:n] != getattr(c, name)[:n]
-    # Predecessor lists: equal in-degrees keep both CSR slices aligned,
-    # so the first differing pred entry names the first differing rid.
-    differs |= np.diff(a.pred_ptr)[:n] != np.diff(c.pred_ptr)[:n]
-    b = int(np.argmax(differs)) if differs.any() else n
-    aligned = int(a.pred_ptr[b])
-    mismatch = np.flatnonzero(a.pred_idx[:aligned] != c.pred_idx[:aligned])
-    if len(mismatch):
-        b = min(b, int(np.searchsorted(a.pred_ptr, mismatch[0], "right")) - 1)
-    if b <= 0:
-        return 0
-    old_edges = set(old.back_edges)
-    new_edges = set(new.back_edges)
-    only_one = old_edges ^ new_edges
-    every = old_edges | new_edges
-    changed = True
-    while changed and b > 0:
-        changed = False
-        for src, dst in every:
-            if dst < b and (src >= b or (src, dst) in only_one):
-                b = dst
-                changed = True
-    return max(b, 0)
-
-
 class AnalysisPipeline:
     """Staged, cached WCET analysis for one (config, timing) context.
 
@@ -562,9 +487,6 @@ class AnalysisPipeline:
             optimizer options the pipeline is used with).
         locked_blocks: Hybrid-locking pinned blocks.
         base_address: Program load address.
-        differential: Verify every delta re-analysis against a cold
-            :func:`~repro.analysis.wcet.analyze_wcet` run (slow; used by
-            the equivalence tests).
         stats: Optionally share a :class:`PipelineStats` instance.
         kernel: Abstract-domain implementation: ``"python"`` (the
             verified oracle), ``"vectorized"`` (the dense numpy kernel,
@@ -574,16 +496,15 @@ class AnalysisPipeline:
             :class:`~repro.cache.config.HierarchyConfig`; its L1 must
             equal ``config``.  Adds an L2 must stage (python-kernel
             :func:`~repro.cache.classify.analyze_l2_must` over the
-            classification-filtered stream, delta-warm-started at the
-            same divergence boundary) after classification.  ``None``
-            keeps the single-level analysis bit-identical to before.
+            classification-filtered stream, cached per program content)
+            after classification.  ``None`` keeps the single-level
+            analysis bit-identical to before.
         refine: Run the model-checking refinement
             (:mod:`repro.analysis.refine`) after classification and
             apply its NC->AH / NC->AM promotions before the L2, guard
             and IPET stages.  The exploration is cached per program
-            content and warm-started at the divergence boundary like
-            the abstract fixpoints.  ``False`` keeps every output
-            byte-identical to before.
+            content and otherwise runs cold, like every stage.
+            ``False`` keeps every output byte-identical to before.
         refine_budget: Exploration budget override for the refinement
             (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
     """
@@ -603,7 +524,6 @@ class AnalysisPipeline:
         with_persistence: bool = True,
         locked_blocks: frozenset = frozenset(),
         base_address: int = 0,
-        differential: bool = False,
         stats: Optional[PipelineStats] = None,
         kernel: Optional[str] = None,
         hierarchy: Optional[HierarchyConfig] = None,
@@ -615,7 +535,6 @@ class AnalysisPipeline:
         self.with_persistence = with_persistence
         self.locked_blocks = frozenset(locked_blocks or ())
         self.base_address = base_address
-        self.differential = differential
         self.stats = stats if stats is not None else PipelineStats()
         self.kernel = resolve_kernel(kernel)
         self.refine = bool(refine)
@@ -694,9 +613,10 @@ class AnalysisPipeline:
         Args:
             cfg: The program (any object; keyed by content).
             with_may: Run the may domain (as in :func:`analyze_wcet`).
-            base: A previous result *from this pipeline* to delta
-                against — typically the analysis of the program this
-                ``cfg`` was derived from by one prefetch insertion.
+            base: A previous result *from this pipeline* — the analysis
+                of the program this ``cfg`` was derived from by one
+                prefetch insertion.  Results with a base are candidate
+                evaluations and never enter the result cache.
             inserted: ``(block_name, index)`` of that insertion, when
                 ``cfg`` is exactly ``base``'s program plus one prefetch
                 there: the ACFG is then spliced from ``base``'s
@@ -708,6 +628,8 @@ class AnalysisPipeline:
             a fresh :func:`~repro.analysis.wcet.analyze_wcet` call.
         """
         if base is not None and base.owner is not self:
+            base = None  # a foreign pipeline's ACFG is not ours to splice
+        if base is None:
             inserted = None
         key = self._content_key_of(
             cfg, base.artifacts.key if inserted is not None else None, inserted
@@ -724,23 +646,6 @@ class AnalysisPipeline:
         )
         acfg = artifacts.acfg
 
-        boundary = 0
-        if base is not None:
-            if base.owner is not self:
-                self.stats.delta_fallbacks += 1
-                base = None
-            else:
-                boundary = divergence_boundary(base.artifacts.acfg, acfg)
-                if boundary <= 0:
-                    self.stats.delta_fallbacks += 1
-                    base = None
-        use_delta = base is not None and boundary > 0
-        if use_delta:
-            self.stats.delta_runs += 1
-        else:
-            self.stats.cold_runs += 1
-            boundary = 0
-
         level2 = self.hierarchy.l2_level if self.hierarchy is not None else None
         domains = ["must"]
         # A second level implies the may domain: the L2 access plan's
@@ -756,14 +661,10 @@ class AnalysisPipeline:
             seg_hits = self.stats.kernel_segment_hits
             seg_misses = self.stats.kernel_segment_misses
             if self.kernel == "vectorized":
-                dataflows = self._dense_dataflow_stage(
-                    artifacts, domains, base if use_delta else None, boundary
-                )
+                dataflows = self._dense_dataflow_stage(artifacts, domains)
             else:
                 dataflows = {
-                    domain: self._dataflow_stage(
-                        artifacts, domain, base if use_delta else None, boundary
-                    )
+                    domain: self._dataflow_stage(artifacts, domain)
                     for domain in domains
                 }
             if fixpoint_span.recording and self.kernel == "vectorized":
@@ -809,16 +710,9 @@ class AnalysisPipeline:
             if ranks is not None:
                 cache_analysis.seed_ranks(ranks)
 
-        # Downstream warm-starts (l2/ipet) rely on the prefix
-        # classifications matching the base run; refinement can break
-        # that (a budget flip changes promotions without changing the
-        # prefix equations), in which case they run cold.
-        warm_boundary = boundary
         if self.refine:
             with self._stage("refine") as refine_span:
-                exploration = self._refine_stage(
-                    artifacts, base if use_delta else None, boundary
-                )
+                exploration = self._refine_stage(artifacts)
                 # PS promotions would charge the one-time penalty at
                 # the DRAM rate; with an L2 the unrefined bound can be
                 # tighter (L2 service time), so they are single-level
@@ -838,7 +732,6 @@ class AnalysisPipeline:
                         classifications, promotions
                     )
                     cache_analysis.classifications = classifications
-                dataflows["refine"] = exploration
                 if refine_span.recording:
                     refine_span.set_attributes(
                         {
@@ -847,24 +740,13 @@ class AnalysisPipeline:
                             "exhausted": exploration.exhausted,
                         }
                     )
-            if use_delta and classifications[:boundary] != (
-                base.wcet.cache.classifications[:boundary]
-            ):
-                warm_boundary = 0
-                self.stats.delta_fallbacks += 1
-        use_warm = use_delta and warm_boundary > 0
 
         if level2 is not None:
             with self._stage("l2"):
                 l2_must = self._l2_stage(
-                    artifacts,
-                    classifications,
-                    base if use_warm else None,
-                    warm_boundary,
-                    level2.config,
+                    artifacts, classifications, level2.config,
                     dataflows.get("may"),
                 )
-                dataflows["l2-must"] = l2_must
                 cache_analysis.l2_must = l2_must
                 cache_analysis.l2_hits = l2_guaranteed_hits(
                     acfg, classifications, l2_must
@@ -879,8 +761,7 @@ class AnalysisPipeline:
                 t_w[rid] = float(self.timing.miss_cycles)
 
         with self._stage("ipet"):
-            warm = (warm_boundary, base.best, base.best_pred) if use_warm else None
-            solution, best, best_pred = solve_wcet_path_tables(acfg, t_w, warm=warm)
+            solution = solve_wcet_path(acfg, t_w)
             charged = _charged_persistent_blocks(acfg, cache_analysis, solution)
             wcet = WCETResult(
                 acfg=acfg,
@@ -892,23 +773,17 @@ class AnalysisPipeline:
                 latency_guarded=guarded,
             )
 
-        if use_delta and self.differential:
-            self._differential_check(acfg, wcet, with_may)
-
         result = PipelineResult(
             owner=self,
             artifacts=artifacts,
             wcet=wcet,
-            dataflows=dataflows,
-            best=best,
-            best_pred=best_pred,
             with_may=bool(with_may),
             locked_blocks=locked,
         )
         if base is None:
             # Candidate evaluations (base != None) churn through unique
             # contents and are carried by the optimizer explicitly; only
-            # cold analyses of "real" programs earn a result-cache slot.
+            # analyses of "real" programs earn a result-cache slot.
             self._results[result_key] = result
             while len(self._results) > self.MAX_RESULTS:
                 self._results.popitem(last=False)
@@ -985,8 +860,6 @@ class AnalysisPipeline:
         self,
         artifacts: StructuralArtifacts,
         domain: str,
-        base: Optional[PipelineResult],
-        boundary: int,
     ) -> DataflowResult:
         key = (artifacts.key, domain)
         hit = self._dataflow_cache.get(key)
@@ -995,22 +868,13 @@ class AnalysisPipeline:
             self.stats.dataflow_hits += 1
             return hit
         self.stats.dataflow_misses += 1
-        base_df = (
-            base.dataflows.get(domain)
-            if base is not None and boundary > 0
-            else None
-        )
         transfer = self._transfer[domain]
-        warm = None
-        if base_df is not None:
-            warm = (boundary, base_df.in_states, base_df.out_states)
         result = propagate(
             artifacts.acfg,
             self.config,
             transfer.intern(self._initial_state(domain)),
             locked_blocks=self.locked_blocks or None,
             transfer=transfer,
-            warm=warm,
         )
         self._dataflow_cache[key] = result
         while len(self._dataflow_cache) > self.MAX_DATAFLOW:
@@ -1022,8 +886,6 @@ class AnalysisPipeline:
         self,
         artifacts: StructuralArtifacts,
         classifications,
-        base: Optional[PipelineResult],
-        boundary: int,
         l2_config: CacheConfig,
         may: Optional[DataflowResult],
     ) -> DataflowResult:
@@ -1033,9 +895,6 @@ class AnalysisPipeline:
         under both kernels (the maybe-access op has no dense
         counterpart; the plan is derived from the kernel-independent L1
         classification and may states, so the result is too).
-        Warm-starting at the divergence boundary is sound because the
-        prefix classifications and may in-states — and with them the
-        L2 access plan — are unchanged there.
         """
         key = (artifacts.key, "l2-must")
         hit = self._dataflow_cache.get(key)
@@ -1044,21 +903,12 @@ class AnalysisPipeline:
             self.stats.dataflow_hits += 1
             return hit
         self.stats.dataflow_misses += 1
-        base_df = (
-            base.dataflows.get("l2-must")
-            if base is not None and boundary > 0
-            else None
-        )
-        warm = None
-        if base_df is not None:
-            warm = (boundary, base_df.in_states, base_df.out_states)
         result = analyze_l2_must(
             artifacts.acfg,
             l2_config,
             classifications,
             locked_blocks=self.locked_blocks or None,
             transfer=self._transfer["l2-must"],
-            warm=warm,
             may=may,
         )
         self._dataflow_cache[key] = result
@@ -1067,21 +917,12 @@ class AnalysisPipeline:
             self.stats.invalidations += 1
         return result
 
-    def _refine_stage(
-        self,
-        artifacts: StructuralArtifacts,
-        base: Optional[PipelineResult],
-        boundary: int,
-    ) -> RefinementResult:
+    def _refine_stage(self, artifacts: StructuralArtifacts) -> RefinementResult:
         """The bounded concrete-state exploration of one program.
 
         The exploration walks the same default access plan for every
         classification of the same content, so it is cached per
-        ``artifacts.key`` alone (shared across ``with_may`` modes) and
-        warm-started at the divergence boundary like the abstract
-        fixpoints — reusing only completed (non-exhausted) base sets,
-        whose prefix line sets are converged and therefore sound to
-        copy under the boundary closure.
+        ``artifacts.key`` alone (shared across ``with_may`` modes).
         """
         key = (artifacts.key, "refine")
         hit = self._dataflow_cache.get(key)
@@ -1090,18 +931,11 @@ class AnalysisPipeline:
             self.stats.dataflow_hits += 1
             return hit
         self.stats.dataflow_misses += 1
-        base_df = (
-            base.dataflows.get("refine")
-            if base is not None and boundary > 0
-            else None
-        )
-        warm = (boundary, base_df) if base_df is not None else None
         result = explore_concrete_states(
             artifacts.acfg,
             self.config,
             locked_blocks=self.locked_blocks or None,
             budget=self.refine_budget,
-            warm=warm,
         )
         self.stats.refine_states += result.explored
         self._dataflow_cache[key] = result
@@ -1114,8 +948,6 @@ class AnalysisPipeline:
         self,
         artifacts: StructuralArtifacts,
         domains: Sequence[str],
-        base: Optional[PipelineResult],
-        boundary: int,
     ) -> Dict[str, DataflowResult]:
         """All requested domains in one batched dense fixpoint.
 
@@ -1140,19 +972,8 @@ class AnalysisPipeline:
         if not missing:
             return dataflows
 
-        schedule = self._schedule_for(artifacts)
-        warm = None
-        if base is not None and boundary > 0:
-            bases = {
-                domain: df
-                for domain in missing
-                for df in (base.dataflows.get(domain),)
-                if isinstance(df, DenseDataflowResult)
-            }
-            if len(bases) == len(missing):
-                warm = (boundary, bases)
         batch = propagate_kernel_batch(
-            schedule, missing, memo=self._segment_memo, warm=warm
+            self._schedule_for(artifacts), missing, memo=self._segment_memo
         )
         for domain in missing:
             result = batch[domain]
@@ -1216,46 +1037,3 @@ class AnalysisPipeline:
         if current is not None:
             self.stats.invalidations += 1
         return universe
-
-    def _differential_check(self, acfg: ACFG, wcet: WCETResult,
-                            with_may: bool) -> None:
-        """Prove one delta analysis bit-identical to a from-scratch run."""
-        self.stats.differential_checks += 1
-        cold = analyze_wcet(
-            acfg,
-            self.config,
-            self.timing,
-            with_may=with_may,
-            with_persistence=self.with_persistence,
-            locked_blocks=self.locked_blocks or None,
-            hierarchy=self.hierarchy,
-            refine=self.refine,
-            refine_budget=self.refine_budget,
-        )
-        problems = []
-        if wcet.tau_w != cold.tau_w:
-            problems.append(f"tau_w {wcet.tau_w!r} != {cold.tau_w!r}")
-        if wcet.cache.classifications != cold.cache.classifications:
-            problems.append("classifications differ")
-        if wcet.t_w != cold.t_w:
-            problems.append("t_w differs")
-        if wcet.latency_guarded != cold.latency_guarded:
-            problems.append("latency_guarded differs")
-        if (wcet.cache.l2_hits or frozenset()) != (
-            cold.cache.l2_hits or frozenset()
-        ):
-            problems.append("l2_hits differ")
-        if wcet.solution.n_w != cold.solution.n_w:
-            problems.append("n_w differs")
-        if wcet.persistent_charged_blocks != cold.persistent_charged_blocks:
-            problems.append("persistent_charged_blocks differ")
-        if wcet.wcet_path_misses != cold.wcet_path_misses:
-            problems.append(
-                f"wcet_path_misses {wcet.wcet_path_misses} != "
-                f"{cold.wcet_path_misses}"
-            )
-        if problems:
-            raise AnalysisError(
-                "delta re-analysis diverged from cold analysis: "
-                + "; ".join(problems)
-            )

@@ -62,13 +62,9 @@ Design notes:
   promotion could loosen the bound (callers gate it via
   ``persistence=False``).
 
-* **Warm start.**  Like the abstract fixpoints, a re-analysis may copy
-  the per-vertex line sets below a divergence boundary from a base
-  exploration — sound under the pipeline's back-edge boundary closure.
-  The pipeline additionally verifies that the *applied* prefix
-  classifications match the base run before reusing any downstream
-  warm-start state (a budget flip may change refinement outcomes
-  without changing the prefix equations).
+* **Cold runs.**  Every exploration starts from the source with the
+  full budget, so the outcome (exhaustion included) is a function of
+  the ACFG alone; the pipeline caches it per program content.
 """
 
 from __future__ import annotations
@@ -186,7 +182,6 @@ def _explore_set(
     back_by_target: Dict[int, List[int]],
     memo: Dict[Tuple[LineKey, tuple], LineKey],
     counters: Dict[str, int],
-    warm: Optional[Tuple[int, SetExploration]],
 ) -> Optional[SetExploration]:
     """Reachable-line fixpoint of one cache set over the ACFG.
 
@@ -200,15 +195,6 @@ def _explore_set(
     n = len(acfg)
     in_lines: List[Optional[LineSet]] = [None] * n
     out_lines: List[Optional[LineSet]] = [None] * n
-    start = 0
-    if warm is not None:
-        boundary, base = warm
-        if 0 < boundary <= n and len(base.in_lines) >= boundary and len(
-            base.out_lines
-        ) >= boundary:
-            in_lines[:boundary] = base.in_lines[:boundary]
-            out_lines[:boundary] = base.out_lines[:boundary]
-            start = boundary
 
     source = acfg.source
     initial: LineSet = frozenset({()})
@@ -218,7 +204,7 @@ def _explore_set(
         changed = [False] * n
         any_changed = False
         first_pass = pass_count == 1
-        for rid in range(start, n):
+        for rid in range(n):
             if not first_pass:
                 need = any(changed[p] for p in preds[rid]) or any(
                     back_src_changed.get(src, False)
@@ -274,7 +260,6 @@ def explore_concrete_states(
     config: CacheConfig,
     locked_blocks: Optional[frozenset] = None,
     budget: Optional[int] = None,
-    warm: Optional[Tuple[int, "RefinementResult"]] = None,
 ) -> RefinementResult:
     """Bounded exploration of the ACFG x concrete-cache product.
 
@@ -286,11 +271,6 @@ def explore_concrete_states(
             plan, their accesses never touch the explored LRU state.
         budget: Cap on newly-reached ``(vertex, line)`` pairs across all
             sets (:data:`DEFAULT_BUDGET` when ``None``).
-        warm: Optional ``(boundary, base_result)`` warm start: per-set
-            line sets of every vertex below ``boundary`` are copied from
-            the base exploration.  Only sound when the caller has proven
-            the prefix equations unchanged (the pipeline's divergence
-            boundary closure); only completed base sets are reused.
 
     Returns:
         A :class:`RefinementResult`; on budget exhaustion ``exhausted``
@@ -331,12 +311,6 @@ def explore_concrete_states(
     counters = {"explored": 0, "budget": budget}
     result = RefinementResult(config=config)
     for set_index in sorted(plans):
-        warm_entry = None
-        if warm is not None:
-            boundary, base = warm
-            base_set = base.per_set.get(set_index)
-            if base_set is not None:
-                warm_entry = (boundary, base_set)
         exploration = _explore_set(
             acfg,
             config,
@@ -346,7 +320,6 @@ def explore_concrete_states(
             back_by_target,
             memo,
             counters,
-            warm_entry,
         )
         if exploration is None:
             result.exhausted = True

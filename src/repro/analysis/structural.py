@@ -24,7 +24,7 @@ implementation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.errors import AnalysisError
 from repro.program.acfg import ACFG
@@ -64,31 +64,6 @@ def solve_wcet_path(acfg: ACFG, per_exec_time: Sequence[float]) -> PathSolution:
     Returns:
         The WCET :class:`PathSolution`.
     """
-    solution, _, _ = solve_wcet_path_tables(acfg, per_exec_time)
-    return solution
-
-
-def solve_wcet_path_tables(
-    acfg: ACFG,
-    per_exec_time: Sequence[float],
-    warm: "Optional[tuple]" = None,
-) -> "Tuple[PathSolution, List[float], List[int]]":
-    """:func:`solve_wcet_path` exposing the DP tables for reuse.
-
-    Args:
-        warm: Optional ``(boundary, base_best, base_best_pred)`` from a
-            previous solve: table entries of every vertex below
-            ``boundary`` are copied and the sweep starts at ``boundary``.
-            The caller must guarantee the prefix recurrence inputs
-            (weights, predecessor lists) are unchanged — the prefix
-            entries are copied, not recomputed, so warm results are
-            bit-identical to a cold solve when that holds.
-
-    Returns:
-        ``(solution, best, best_pred)`` — the solution plus the filled
-        DP tables (do not mutate; they may be shared with later warm
-        solves).
-    """
     n = len(acfg)
     if len(per_exec_time) != n:
         raise AnalysisError(
@@ -98,20 +73,10 @@ def solve_wcet_path_tables(
     weight = [t * m for t, m in zip(per_exec_time, multiplier)]
     best = [float("-inf")] * n
     best_pred = [-1] * n
-    start = 0
-    if warm is not None:
-        boundary, base_best, base_best_pred = warm
-        if 0 < boundary <= n and len(base_best) >= boundary and len(
-            base_best_pred
-        ) >= boundary:
-            best[:boundary] = base_best[:boundary]
-            best_pred[:boundary] = base_best_pred[:boundary]
-            start = boundary
-    if start == 0:
-        best[acfg.source] = weight[acfg.source]
+    best[acfg.source] = weight[acfg.source]
     ptr = acfg.columns.pred_ptr.tolist()
     pred_idx = acfg.columns.pred_idx.tolist()
-    for rid in range(start, n):
+    for rid in range(n):
         if rid == acfg.source:
             continue
         lo = ptr[rid]
@@ -140,10 +105,9 @@ def solve_wcet_path_tables(
     for rid in path:
         on_path[rid] = True
     n_w = [m if on else 0 for m, on in zip(multiplier, on_path)]
-    solution = PathSolution(
+    return PathSolution(
         objective=best[acfg.sink],
         n_w=n_w,
         on_path=on_path,
         path=path,
     )
-    return solution, best, best_pred

@@ -248,7 +248,7 @@ def analyze_wcet(
         # promotion removes the reference from the L2 access stream),
         # so in hierarchy mode the L1 analysis runs alone, refinement
         # is applied, and the L2 stage re-runs on the refined labels —
-        # the exact stage order of the incremental pipeline.
+        # the exact stage order of the analysis pipeline.
         level2 = hierarchy.l2_level if hierarchy is not None else None
         cache = analyze_cache(
             acfg,

@@ -153,7 +153,6 @@ def propagate(
     locked_blocks: Optional[frozenset] = None,
     plan: Optional[List[Optional[tuple]]] = None,
     transfer=None,
-    warm: Optional[tuple] = None,
 ) -> DataflowResult:
     """Run one abstract domain over the ACFG to fixpoint.
 
@@ -172,11 +171,6 @@ def propagate(
             ``unknown(state)`` — the pipeline's hash-consing
             :class:`~repro.analysis.pipeline.TransferCache` plugs in
             here.  ``None`` calls the domain methods directly.
-        warm: Optional warm start ``(boundary, base_in, base_out)``:
-            states of every vertex below ``boundary`` are copied from
-            the base run and the sweeps start at ``boundary``.  Only
-            sound when the caller has proven the prefix equations
-            unchanged (the pipeline's divergence-boundary closure).
 
     Returns:
         A :class:`DataflowResult` with the converged states.
@@ -187,16 +181,6 @@ def propagate(
     back_by_target: Dict[int, List[int]] = {}
     for src, dst in acfg.back_edges:
         back_by_target.setdefault(dst, []).append(src)
-
-    start = 0
-    if warm is not None:
-        boundary, base_in, base_out = warm
-        if 0 < boundary <= n and len(base_in) >= boundary and len(
-            base_out
-        ) >= boundary:
-            in_states[:boundary] = base_in[:boundary]
-            out_states[:boundary] = base_out[:boundary]
-            start = boundary
 
     domain = type(initial)
     if transfer is None:
@@ -239,10 +223,7 @@ def propagate(
         changed = [False] * n
         any_changed = False
         first_pass = pass_count == 1
-        # Vertices below the warm-start boundary can never re-enter the
-        # worklist: their preds and back-edge sources all lie below the
-        # boundary too (the pipeline's closure), and those never change.
-        for rid in range(start, n):
+        for rid in range(n):
             if not first_pass:
                 need = any(changed[p] for p in preds[rid]) or any(
                     back_src_changed.get(src, False)
@@ -575,7 +556,6 @@ def analyze_l2_must(
     classifications: Sequence[Optional[Classification]],
     locked_blocks: Optional[frozenset] = None,
     transfer=None,
-    warm: Optional[tuple] = None,
     may: Optional[DataflowResult] = None,
 ) -> DataflowResult:
     """Run the must domain of the second-level cache to fixpoint.
@@ -593,7 +573,6 @@ def analyze_l2_must(
         locked_blocks=None,  # locked blocks are already filtered out
         plan=plan,
         transfer=transfer,
-        warm=warm,
     )
 
 

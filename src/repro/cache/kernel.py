@@ -59,9 +59,11 @@ The result is a :class:`DenseDataflowResult` — a drop-in
 :class:`~repro.cache.classify.DataflowResult` whose per-vertex states
 materialize lazily into ordinary oracle states (so every downstream
 consumer, and the hash-consing interner, sees values indistinguishable
-from a python-kernel run), plus the dense matrices themselves for
-warm-started delta re-analysis and the vectorized classifier
-(:func:`classify_references_dense`).
+from a python-kernel run), plus the dense matrices themselves for the
+vectorized classifier (:func:`classify_references_dense`).  Every call
+runs cold from the source; reuse across the optimizer's candidates
+comes from the content-keyed segment memo, which replays any chain
+whose operations and in-state were seen before.
 """
 
 from __future__ import annotations
@@ -596,8 +598,8 @@ class DenseDataflowResult(DataflowResult):
     ``in_states``/``out_states`` are lazy: indexing materializes the
     oracle state for that vertex (and ``None`` for vertices the
     analysis never reached, like the python kernel).  The matrices
-    themselves feed warm-started re-analysis and the vectorized
-    classifier without ever materializing a state object.
+    themselves feed the vectorized classifier without ever materializing
+    a state object.
     """
 
     is_dense = True
@@ -633,7 +635,6 @@ def propagate_kernel_batch(
     schedule: KernelSchedule,
     domains: Sequence[str],
     memo: Optional[SegmentMemo] = None,
-    warm: Optional[Tuple[int, Dict[str, "DenseDataflowResult"]]] = None,
 ) -> Dict[str, "DenseDataflowResult"]:
     """Run several abstract domains over a compiled schedule at once.
 
@@ -664,13 +665,6 @@ def propagate_kernel_batch(
         schedule: Compiled ACFG (see :class:`KernelSchedule`).
         domains: Subset of ``("must", "may", "persistence")``.
         memo: Optional shared :class:`SegmentMemo`.
-        warm: Optional ``(boundary, bases)`` warm start with one base
-            :class:`DenseDataflowResult` per requested domain: rows
-            below ``boundary`` are copied from the bases and segments
-            entirely below it are never replayed.  Sound under the
-            pipeline's divergence-boundary closure, exactly like the
-            python kernel's ``warm`` parameter.  Ignored unless every
-            domain has a base on the same universe.
     """
     universe = schedule.universe
     config = universe.config
@@ -697,28 +691,6 @@ def propagate_kernel_batch(
     for i, name in enumerate(order):
         initial[i] = -1 if name == "persistence" else assoc
 
-    boundary = 0
-    if warm is not None:
-        warm_boundary, bases = warm
-        usable = 0 < warm_boundary <= n
-        if usable:
-            for name in order:
-                found = bases.get(name)
-                if (
-                    found is None
-                    or found.universe is not universe
-                    or len(found.dense_in) < warm_boundary
-                ):
-                    usable = False
-                    break
-        if usable:
-            boundary = warm_boundary
-            for i, name in enumerate(order):
-                found = bases[name]
-                dense_in[:boundary, i, :] = found.dense_in[:boundary]
-                dense_out[:boundary, i, :] = found.dense_out[:boundary]
-            reachable[:boundary] = bases[order[0]].reachable[:boundary]
-
     starts = schedule.starts
     ends = schedule.ends
     step_preds = schedule.step_preds
@@ -728,12 +700,6 @@ def propagate_kernel_batch(
     num_steps = len(starts)
     changed = [True] * num_steps
     last_in: List[Optional[bytes]] = [None] * num_steps
-    # Segments fully below the warm boundary can never re-enter the
-    # sweep: the pipeline's closure guarantees their inputs are below
-    # the boundary too, and those never change.
-    first_step = step_of[boundary] if boundary < n else num_steps
-    for index in range(first_step):
-        changed[index] = False
 
     source = schedule.source
     has_may = num_max < depth
@@ -741,7 +707,7 @@ def propagate_kernel_batch(
     for sweep in range(1, MAX_SWEEPS + 1):
         any_changed = False
         first_sweep = sweep == 1
-        for index in range(first_step, num_steps):
+        for index in range(num_steps):
             preds = step_preds[index]
             back_srcs = step_back_srcs[index]
             if not first_sweep:
@@ -834,17 +800,12 @@ def propagate_kernel(
     schedule: KernelSchedule,
     domain_name: str,
     memo: Optional[SegmentMemo] = None,
-    warm: Optional[Tuple[int, "DenseDataflowResult"]] = None,
 ) -> "DenseDataflowResult":
     """Single-domain convenience wrapper of
-    :func:`propagate_kernel_batch` (``warm`` takes the one domain's base
-    result directly)."""
-    batch_warm = None
-    if warm is not None:
-        batch_warm = (warm[0], {domain_name: warm[1]})
-    return propagate_kernel_batch(
-        schedule, (domain_name,), memo=memo, warm=batch_warm
-    )[domain_name]
+    :func:`propagate_kernel_batch`."""
+    return propagate_kernel_batch(schedule, (domain_name,), memo=memo)[
+        domain_name
+    ]
 
 
 # ----------------------------------------------------------------------

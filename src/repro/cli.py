@@ -335,11 +335,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         for stage in sorted(set(profile) - {"acfg", "fixpoint", "classify",
                                             "guard", "ipet"}):
             print(f"  {stage:<9}: {profile[stage]:8.3f}s", file=sys.stderr)
-        counters = report.pipeline
-        print(f"  analyses : {counters.get('delta_runs', 0)} delta, "
-              f"{counters.get('cold_runs', 0)} cold, "
-              f"{counters.get('delta_fallbacks', 0)} fallbacks",
-              file=sys.stderr)
     if args.json:
         document = optimize_to_json(report, check, profile=profile)
         document["config_id"] = args.config

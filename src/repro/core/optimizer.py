@@ -336,9 +336,8 @@ def _run_pass(
 
     The per-pass artifacts — reverse events, miss uses, execution
     counts, loop ranges — all come (cached) from ``base``; candidate
-    evaluations splice their ACFG from ``base``'s and delta-analyse
-    against it so only the suffix behind the insertion point is
-    recomputed.
+    evaluations splice their ACFG from ``base``'s and are then analysed
+    cold on it.
     """
     acfg = base.acfg
     wcet = base.wcet

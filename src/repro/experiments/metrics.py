@@ -216,12 +216,8 @@ class SweepMetrics:
                 )
         totals = self.pipeline_totals()
         if totals:
-            delta = totals.get("delta_runs", 0)
-            cold = totals.get("cold_runs", 0)
             lines.append(
-                f"pipeline: {delta} delta / {cold} cold analyses, "
-                f"{totals.get('delta_fallbacks', 0)} fallbacks, "
-                f"{totals.get('transfer_hits', 0)} transfer hits, "
+                f"pipeline: {totals.get('transfer_hits', 0)} transfer hits, "
                 f"{totals.get('structural_hits', 0)} structural hits, "
                 f"{totals.get('invalidations', 0)} invalidations"
             )

@@ -256,8 +256,6 @@ class ServiceTelemetry:
             dataflow + whole-result) across completed jobs.
         pipeline_stage_misses: Analysis-pipeline cache misses across
             completed jobs.
-        pipeline_delta_runs: Delta (warm-start) re-analyses.
-        pipeline_delta_fallbacks: Delta attempts that fell back to cold.
         pipeline_invalidations: Pipeline cache evictions/clears.
         job_retries: Computations retried after a transient
             infrastructure failure (worker died, pool broke).
@@ -322,11 +320,6 @@ class ServiceTelemetry:
         self.pipeline_stage_misses = r.counter(
             "pipeline_stage_misses",
             "Analysis-pipeline cache misses across completed jobs")
-        self.pipeline_delta_runs = r.counter(
-            "pipeline_delta_runs", "Delta (warm-start) re-analyses")
-        self.pipeline_delta_fallbacks = r.counter(
-            "pipeline_delta_fallbacks",
-            "Delta re-analyses that fell back to a cold run")
         self.pipeline_invalidations = r.counter(
             "pipeline_invalidations", "Pipeline cache evictions and clears")
         self.job_retries = r.counter(
@@ -404,10 +397,6 @@ class ServiceTelemetry:
             self.pipeline_stage_hits.inc(hits)
         if misses:
             self.pipeline_stage_misses.inc(misses)
-        if counters.get("delta_runs"):
-            self.pipeline_delta_runs.inc(counters["delta_runs"])
-        if counters.get("delta_fallbacks"):
-            self.pipeline_delta_fallbacks.inc(counters["delta_fallbacks"])
         if counters.get("invalidations"):
             self.pipeline_invalidations.inc(counters["invalidations"])
 

@@ -8,8 +8,6 @@ invisible in the results:
 * the spliced ACFG equals ``build_acfg`` of the candidate program on
   every column and back edge, and its lazily materialized vertices are
   equal too, and the patched content key equals ``content_key``;
-* the vectorized :func:`~repro.analysis.pipeline.divergence_boundary`
-  equals the vertex-by-vertex reference kept below;
 * :func:`~repro.analysis.wcet._latency_guard` equals a pairwise
   ``min_path_slack``/``wraparound_slack`` oracle.
 
@@ -27,11 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.pipeline import (
-    AnalysisPipeline,
-    content_key,
-    divergence_boundary,
-)
+from repro.analysis.pipeline import AnalysisPipeline, content_key
 from repro.analysis.slack import (
     min_path_slack,
     rest_instance_spans,
@@ -66,53 +60,6 @@ def assert_same_acfg(spliced, fresh):
     assert spliced.vertices == fresh.vertices
     assert spliced.layout.addresses() == fresh.layout.addresses()
     assert spliced.memory_map.blocks() == fresh.memory_map.blocks()
-
-
-def _vertex_matches(old, new, rid) -> bool:
-    """Everything the dataflow/IPET equations read at one vertex."""
-    a = old.vertex(rid)
-    b = new.vertex(rid)
-    if a.kind is not b.kind or a.context != b.context:
-        return False
-    ia, ib = a.instr, b.instr
-    if (ia is None) != (ib is None):
-        return False
-    if ia is not None and (
-        ia.uid != ib.uid
-        or ia.is_prefetch != ib.is_prefetch
-        or ia.prefetch_target != ib.prefetch_target
-        or old.block_of(rid) != new.block_of(rid)
-    ):
-        return False
-    return (
-        old.target_block_or_none(rid) == new.target_block_or_none(rid)
-        and old.multiplier[rid] == new.multiplier[rid]
-        and tuple(old.predecessors(rid)) == tuple(new.predecessors(rid))
-    )
-
-
-def reference_boundary(old, new) -> int:
-    """Vertex-by-vertex divergence boundary plus back-edge closure."""
-    n = min(len(old), len(new))
-    b = n
-    for rid in range(n):
-        if not _vertex_matches(old, new, rid):
-            b = rid
-            break
-    if b <= 0:
-        return 0
-    old_edges = set(old.back_edges)
-    new_edges = set(new.back_edges)
-    only_one = old_edges ^ new_edges
-    every = old_edges | new_edges
-    changed = True
-    while changed and b > 0:
-        changed = False
-        for src, dst in every:
-            if dst < b and (src >= b or (src, dst) in only_one):
-                b = dst
-                changed = True
-    return max(b, 0)
 
 
 def oracle_guard(acfg, cache, timing, t_w) -> frozenset:
@@ -185,9 +132,6 @@ def run_checked(monkeypatch, program, config, options):
         assert splice_prefetch(base.acfg, cfg, *inserted).vertices == (
             fresh.vertices
         )
-        assert divergence_boundary(base.acfg, spliced) == reference_boundary(
-            base.acfg, fresh
-        )
         check_guard(spliced, result.wcet.cache, timing,
                     result.wcet.latency_guarded)
         checked.append(inserted)
@@ -256,9 +200,6 @@ def test_random_insertions(seed, picks):
         fresh = build_acfg(cfg, CONFIG.block_size)
         spliced = splice_prefetch(base, cfg, block.name, index)
         assert_same_acfg(spliced, fresh)
-        assert divergence_boundary(base, spliced) == reference_boundary(
-            base, fresh
-        )
         check_guard(spliced, analyze_cache(spliced, CONFIG), TIMING)
         if keep:
             base = spliced

@@ -1,12 +1,15 @@
-"""Incremental == cold: equivalence tests for the analysis pipeline.
+"""Pipeline == standalone: equivalence tests for the analysis pipeline.
 
-The pipeline's delta re-analysis (warm-started fixpoint + IPET) must be
-*bit-identical* to a from-scratch run — same τ_w, same classifications,
-same per-reference times, same WCET-path counts.  The fast tests here
-prove it deterministically on a Mälardalen subset; the slow hypothesis
-test sweeps randomly generated programs.  Both lean on the pipeline's
-``differential`` mode, which re-runs every delta analysis cold and
-raises :class:`~repro.errors.AnalysisError` on any divergence.
+Every :meth:`AnalysisPipeline.analyze` call — including the optimizer's
+candidate evaluations on spliced ACFGs, served partly from the content-
+keyed caches — must be *bit-identical* to a standalone
+:func:`~repro.analysis.wcet.analyze_wcet` run on a fresh
+:func:`~repro.program.acfg.build_acfg`: same τ_w, same classifications,
+same per-reference times, same WCET-path counts, same L2 hits.  The
+fast tests prove it deterministically on a Mälardalen subset (with and
+without an L2 plus refinement); the slow hypothesis tests sweep
+randomly generated programs.  :class:`CheckedPipeline` is the oracle:
+it re-runs every analysis standalone and asserts equality.
 """
 
 from __future__ import annotations
@@ -19,14 +22,19 @@ from repro.analysis.pipeline import AnalysisPipeline, content_key
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
 from repro.bench.registry import load
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, hierarchy_for
 from repro.core.optimizer import OptimizerOptions, optimize
-from repro.energy.cacti import cacti_model
+from repro.energy.cacti import cacti_model, hierarchy_model
 from repro.energy.technology import technology
 from repro.program.acfg import build_acfg
 
 CONFIG = CacheConfig(1, 16, 256)  # the paper's k1
 TIMING = cacti_model(CONFIG, technology("45nm")).timing_model()
+
+L2_SPEC = "4:16:4096:6"
+L2_TIMING = hierarchy_model(
+    hierarchy_for(CONFIG, L2_SPEC), technology("45nm")
+).timing
 
 #: Small, fast Mälardalen members — enough structural variety (straight
 #: line, nested loops, calls, branches) without slowing tier-1 down.
@@ -47,7 +55,48 @@ def _wcet_fingerprint(wcet):
         ),
         tuple(sorted(wcet.latency_guarded)),
         tuple(sorted(wcet.persistent_charged_blocks)),
+        tuple(sorted(wcet.cache.l2_hits or ())),
     )
+
+
+class CheckedPipeline(AnalysisPipeline):
+    """A pipeline that re-runs every analysis standalone and compares.
+
+    ``candidates`` counts the checked analyses that had a ``base`` —
+    the optimizer's candidate evaluations.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.candidates = 0
+
+    def analyze(self, cfg, with_may=True, base=None, inserted=None):
+        result = super().analyze(
+            cfg, with_may=with_may, base=base, inserted=inserted
+        )
+        standalone = analyze_wcet(
+            build_acfg(cfg, self.config.block_size, self.base_address),
+            self.config,
+            self.timing,
+            with_may=with_may,
+            with_persistence=self.with_persistence,
+            locked_blocks=self.locked_blocks or None,
+            hierarchy=self.hierarchy,
+            refine=self.refine,
+            refine_budget=self.refine_budget,
+        )
+        assert _wcet_fingerprint(result.wcet) == _wcet_fingerprint(standalone)
+        if base is not None:
+            self.candidates += 1
+        return result
+
+
+def _checked_optimize(cfg, opts, timing=TIMING):
+    """Optimize ``cfg`` through a :class:`CheckedPipeline`."""
+    pipeline = CheckedPipeline.for_options(CONFIG, timing, opts)
+    _, report = optimize(cfg, CONFIG, timing, options=opts, pipeline=pipeline)
+    assert pipeline.candidates == report.candidates_evaluated
+    return report
 
 
 class TestColdEqualsStandalone:
@@ -70,29 +119,33 @@ class TestColdEqualsStandalone:
         again = pipeline.analyze(cfg)
         assert again is first
         assert pipeline.stats.result_hits == 1
-        assert pipeline.stats.cold_runs == 1
+        assert pipeline.stats.structural_misses == 1
 
 
 class TestIncrementalEqualsCold:
-    """Delta re-analysis across optimizer passes is bit-identical."""
+    """Candidate analyses on spliced ACFGs equal standalone ones."""
 
     @pytest.mark.parametrize("program", ["crc", "matmult", "jfdctint"])
     def test_optimize_differential(self, program):
-        cfg = load(program)
-        opts = OptimizerOptions(max_evaluations=12)
-        pipeline = AnalysisPipeline.for_options(
-            CONFIG, TIMING, opts, differential=True
+        report = _checked_optimize(
+            load(program), OptimizerOptions(max_evaluations=12)
         )
-        _, report = optimize(
-            cfg, CONFIG, TIMING, options=opts, pipeline=pipeline
-        )
-        # Differential mode re-runs every delta cold and raises on any
-        # mismatch, so reaching this line with checks performed is the
-        # equivalence proof.
         assert report.candidates_evaluated > 0
-        assert pipeline.stats.delta_runs == report.candidates_evaluated
-        assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
-        assert pipeline.stats.delta_fallbacks == 0
+
+    # compress is the one with both L2 hits and refinement promotions
+    # at k1 (crc and matmult have neither, jfdctint only L2 hits).
+    @pytest.mark.parametrize(
+        "program", ["crc", "matmult", "jfdctint", "compress"]
+    )
+    def test_optimize_differential_hierarchy(self, program):
+        # The classic baseline: with persistence and an L2 these programs
+        # leave the optimizer no candidate to evaluate at k1.
+        opts = OptimizerOptions(
+            with_persistence=False, max_evaluations=12, l2=L2_SPEC,
+            refine=True,
+        )
+        report = _checked_optimize(load(program), opts, L2_TIMING)
+        assert report.candidates_evaluated > 0
 
     def test_shared_pipeline_matches_fresh(self):
         cfg = load("matmult")
@@ -144,13 +197,7 @@ class TestIncrementalEqualsColdGenerated:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_optimize_differential_random(self, seed):
         cfg = random_program(seed, target_size=120, max_depth=3)
-        opts = OptimizerOptions(max_evaluations=10)
-        pipeline = AnalysisPipeline.for_options(
-            CONFIG, TIMING, opts, differential=True
-        )
-        optimize(cfg, CONFIG, TIMING, options=opts, pipeline=pipeline)
-        assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
-        assert pipeline.stats.delta_fallbacks == 0
+        _checked_optimize(cfg, OptimizerOptions(max_evaluations=10))
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
