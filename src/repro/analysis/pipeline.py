@@ -54,6 +54,7 @@ from repro.analysis.refine import (
     RefinementResult,
     apply_promotions,
     explore_concrete_states,
+    has_unclassified,
     refine_classifications,
 )
 from repro.analysis.slack import rest_instance_spans
@@ -494,15 +495,16 @@ class AnalysisPipeline:
             follow ``REPRO_CACHE_KERNEL`` (default ``vectorized``).
         hierarchy: Optional multi-level
             :class:`~repro.cache.config.HierarchyConfig`; its L1 must
-            equal ``config``.  Adds an L2 must stage (python-kernel
-            :func:`~repro.cache.classify.analyze_l2_must` over the
-            classification-filtered stream, cached per program content)
-            after classification.  ``None`` keeps the single-level
-            analysis bit-identical to before.
+            equal ``config``.  Adds an L2 must stage
+            (:func:`~repro.cache.classify.analyze_l2_must` over the
+            classification-filtered stream on the pipeline's kernel,
+            cached per program content) after classification.  ``None``
+            keeps the single-level analysis bit-identical to before.
         refine: Run the model-checking refinement
             (:mod:`repro.analysis.refine`) after classification and
             apply its NC->AH / NC->AM promotions before the L2, guard
-            and IPET stages.  The exploration is cached per program
+            and IPET stages.  The exploration runs only when some
+            reference is ``NOT_CLASSIFIED``, is cached per program
             content and otherwise runs cold, like every stage.
             ``False`` keeps every output byte-identical to before.
         refine_budget: Exploration budget override for the refinement
@@ -553,10 +555,13 @@ class AnalysisPipeline:
         }
         #: Vectorized-kernel state: one block universe shared by every
         #: schedule/dense matrix of this pipeline (rebuilt with headroom
-        #: when a program outgrows it) and one segment memo keyed by
-        #: (domain batch, segment ops, in-state bytes).
+        #: when a program outgrows it) and segment memos keyed by
+        #: (domain batch, segment ops, in-state bytes) — one for L1, one
+        #: for the L2 must stage, whose op bytes mean a different
+        #: transfer under the L2's geometry.
         self._universe: Optional[BlockUniverse] = None
         self._segment_memo = SegmentMemo(stats=self.stats)
+        self._l2_segment_memo = SegmentMemo(stats=self.stats)
         self._structural_cache: "OrderedDict[Any, StructuralArtifacts]" = (
             OrderedDict()
         )
@@ -712,34 +717,38 @@ class AnalysisPipeline:
 
         if self.refine:
             with self._stage("refine") as refine_span:
-                exploration = self._refine_stage(artifacts)
-                # PS promotions would charge the one-time penalty at
-                # the DRAM rate; with an L2 the unrefined bound can be
-                # tighter (L2 service time), so they are single-level
-                # only (see the refine module's soundness note).
-                promotions = refine_classifications(
-                    acfg,
-                    exploration,
-                    classifications,
-                    persistence=level2 is None,
-                )
                 self.stats.refine_runs += 1
-                self.stats.refine_promotions += len(promotions)
-                if exploration.exhausted:
-                    self.stats.refine_exhausted += 1
-                if promotions:
-                    classifications = apply_promotions(
-                        classifications, promotions
+                # Promotions only ever apply to NOT_CLASSIFIED
+                # references: without one there is nothing to explore.
+                if has_unclassified(cache_analysis):
+                    exploration = self._refine_stage(artifacts)
+                    # PS promotions would charge the one-time penalty at
+                    # the DRAM rate; with an L2 the unrefined bound can
+                    # be tighter (L2 service time), so they are
+                    # single-level only (see the refine module's
+                    # soundness note).
+                    promotions = refine_classifications(
+                        acfg,
+                        exploration,
+                        classifications,
+                        persistence=level2 is None,
                     )
-                    cache_analysis.classifications = classifications
-                if refine_span.recording:
-                    refine_span.set_attributes(
-                        {
-                            "promotions": len(promotions),
-                            "states": exploration.explored,
-                            "exhausted": exploration.exhausted,
-                        }
-                    )
+                    self.stats.refine_promotions += len(promotions)
+                    if exploration.exhausted:
+                        self.stats.refine_exhausted += 1
+                    if promotions:
+                        classifications = apply_promotions(
+                            classifications, promotions
+                        )
+                        cache_analysis.classifications = classifications
+                    if refine_span.recording:
+                        refine_span.set_attributes(
+                            {
+                                "promotions": len(promotions),
+                                "states": exploration.explored,
+                                "exhausted": exploration.exhausted,
+                            }
+                        )
 
         if level2 is not None:
             with self._stage("l2"):
@@ -891,10 +900,12 @@ class AnalysisPipeline:
     ) -> DataflowResult:
         """The L2 must fixpoint over the classification-filtered stream.
 
-        Runs the python :func:`~repro.cache.classify.analyze_l2_must`
-        under both kernels (the maybe-access op has no dense
-        counterpart; the plan is derived from the kernel-independent L1
-        classification and may states, so the result is too).
+        :func:`~repro.cache.classify.analyze_l2_must` on the pipeline's
+        kernel: the vectorized one replays the L2 plan on the segments
+        of the program's L1 schedule, with the L2 segment memo; the
+        python one runs the oracle with the ``l2-must`` transfer cache.
+        The plan is derived from the kernel-independent L1
+        classification and may states, so the result is identical.
         """
         key = (artifacts.key, "l2-must")
         hit = self._dataflow_cache.get(key)
@@ -910,6 +921,12 @@ class AnalysisPipeline:
             locked_blocks=self.locked_blocks or None,
             transfer=self._transfer["l2-must"],
             may=may,
+            kernel=self.kernel,
+            schedule=(
+                self._schedule_for(artifacts)
+                if self.kernel == "vectorized" else None
+            ),
+            memo=self._l2_segment_memo,
         )
         self._dataflow_cache[key] = result
         while len(self._dataflow_cache) > self.MAX_DATAFLOW:
@@ -1015,8 +1032,8 @@ class AnalysisPipeline:
         """The pipeline's block universe, grown to cover ``acfg``.
 
         Rebuilding (a program referencing blocks outside the current
-        range) clears the segment memos — dense rows of different widths
-        are incomparable — and counts as an invalidation.  The headroom
+        range) clears both segment memos — dense rows of another block
+        range are incomparable — and counts as an invalidation.  The headroom
         absorbs the small upward block drift of candidate programs (each
         prefetch insertion shifts later addresses by one instruction).
         """
@@ -1034,6 +1051,7 @@ class AnalysisPipeline:
         universe = BlockUniverse(self.config, lo, hi - lo + 1 + 32)
         self._universe = universe
         self._segment_memo.clear()
+        self._l2_segment_memo.clear()
         if current is not None:
             self.stats.invalidations += 1
         return universe

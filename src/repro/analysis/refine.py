@@ -62,9 +62,14 @@ Design notes:
   promotion could loosen the bound (callers gate it via
   ``persistence=False``).
 
-* **Cold runs.**  Every exploration starts from the source with the
-  full budget, so the outcome (exhaustion included) is a function of
-  the ACFG alone; the pipeline caches it per program content.
+* **Cold runs, gated on NC.**  Every exploration starts from the
+  source with the full budget, so the outcome (exhaustion included) is
+  a function of the ACFG alone; the pipeline caches it per program
+  content.  Promotions only ever apply to ``NOT_CLASSIFIED``
+  references, so both callers (the pipeline's refine stage and
+  ``analyze_wcet(refine=True)``) skip the exploration when the
+  classification has none (:func:`has_unclassified`): τ_w is unchanged
+  by construction.
 """
 
 from __future__ import annotations
@@ -72,7 +77,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.cache.classify import Classification, classification_rank
+import numpy as np
+
+from repro.cache.classify import (
+    CacheAnalysis,
+    Classification,
+    classification_rank,
+)
 from repro.cache.concrete import ConcreteCache
 from repro.cache.config import CacheConfig
 from repro.errors import AnalysisError
@@ -286,21 +297,32 @@ def explore_concrete_states(
     # block, then a prefetch's target — split by the cache set each
     # block maps to.  Ops touching different sets commute, and within a
     # set the plan preserves program order.
+    cols = acfg.columns
+    rids = np.flatnonzero(cols.is_ref)
+    own = cols.ref_block[rids]
+    target = cols.target_block[rids]
+    own_ok = np.ones(len(rids), dtype=bool)
+    target_ok = target >= 0
+    if locked:
+        own_ok = ~np.isin(own, list(locked))
+        target_ok &= ~np.isin(target, list(locked))
+    num_sets = config.num_sets
     plans: Dict[int, List[Optional[Tuple[Tuple[str, int], ...]]]] = {}
-
-    def _add_op(index: int, rid: int, op: Tuple[str, int]) -> None:
-        plan = plans.setdefault(index, [None] * n)
-        existing = plan[rid]
-        plan[rid] = (op,) if existing is None else existing + (op,)
-
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
-        own = acfg.block_of(rid)
-        if own not in locked:
-            _add_op(config.set_index(own), rid, ("access", own))
-        target = acfg.target_block_or_none(rid)
-        if target is not None and target not in locked:
-            _add_op(config.set_index(target), rid, ("install", target))
+    for rid, block, block_ok, loaded, loaded_ok in zip(
+        rids.tolist(), own.tolist(), own_ok.tolist(), target.tolist(),
+        target_ok.tolist(),
+    ):
+        ops = []
+        if block_ok:
+            ops.append((block % num_sets, ("access", block)))
+        if loaded_ok:
+            ops.append((loaded % num_sets, ("install", loaded)))
+        for set_index, op in ops:
+            plan = plans.get(set_index)
+            if plan is None:
+                plan = plans[set_index] = [None] * n
+            existing = plan[rid]
+            plan[rid] = (op,) if existing is None else existing + (op,)
 
     preds = [acfg.predecessors(rid) for rid in range(n)]
     back_by_target: Dict[int, List[int]] = {}
@@ -394,11 +416,13 @@ def refine_classifications(
     config = exploration.config
     promotions: Dict[int, Classification] = {}
     evictions: Dict[int, FrozenSet[int]] = {}
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
-        if classifications[rid] is not Classification.NOT_CLASSIFIED:
-            continue
-        block = acfg.block_of(rid)
+    cols = acfg.columns
+    unclassified = [
+        rid for rid in np.flatnonzero(cols.is_ref).tolist()
+        if classifications[rid] is Classification.NOT_CLASSIFIED
+    ]
+    blocks = cols.ref_block[unclassified].tolist()
+    for rid, block in zip(unclassified, blocks):
         set_index = config.set_index(block)
         per_set = exploration.per_set.get(set_index)
         if per_set is None:
@@ -419,6 +443,13 @@ def refine_classifications(
             if block not in evictions[set_index]:
                 promotions[rid] = Classification.PERSISTENT
     return promotions
+
+
+def has_unclassified(cache: CacheAnalysis) -> bool:
+    """Whether any reference of ``cache`` is ``NOT_CLASSIFIED`` — the
+    only references a refinement can promote."""
+    nc = classification_rank(Classification.NOT_CLASSIFIED)
+    return bool((cache.ranks() == nc).any())
 
 
 def apply_promotions(

@@ -219,7 +219,8 @@ def analyze_wcet(
             references and apply its NC->AH / NC->AM promotions before
             computing ``t_w`` — and, in hierarchy mode, before deriving
             the L2 access plan, mirroring the staged pipeline's
-            classify -> refine -> l2 order exactly.
+            classify -> refine -> l2 order exactly.  Skipped when no
+            reference is ``NOT_CLASSIFIED`` (nothing to promote).
         refine_budget: Exploration budget override
             (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
 
@@ -241,6 +242,7 @@ def analyze_wcet(
         from repro.analysis.refine import (
             apply_promotions,
             explore_concrete_states,
+            has_unclassified,
             refine_classifications,
         )
 
@@ -260,19 +262,23 @@ def analyze_wcet(
             locked_blocks=locked_blocks,
             hierarchy=None,
         )
-        exploration = explore_concrete_states(
-            acfg, config, locked_blocks=locked_blocks, budget=refine_budget
-        )
-        promotions = refine_classifications(
-            acfg,
-            exploration,
-            cache.classifications,
-            persistence=level2 is None,
-        )
-        if promotions:
-            cache.classifications = apply_promotions(
-                cache.classifications, promotions
+        # Promotions only ever apply to NOT_CLASSIFIED references, so
+        # without one the exploration could not change τ_w.
+        if has_unclassified(cache):
+            exploration = explore_concrete_states(
+                acfg, config, locked_blocks=locked_blocks,
+                budget=refine_budget,
             )
+            promotions = refine_classifications(
+                acfg,
+                exploration,
+                cache.classifications,
+                persistence=level2 is None,
+            )
+            if promotions:
+                cache.classifications = apply_promotions(
+                    cache.classifications, promotions
+                )
         if level2 is not None:
             if hierarchy.l1 != config:
                 raise AnalysisError(
@@ -328,10 +334,12 @@ def prefetch_lambda(cache, timing, prefetch_rid: int, target: int) -> int:
     L2 hit penalty — the hierarchy's main effect on placement
     profitability (shorter Λ needs less slack to hide).
     """
-    if timing.l2_hit_penalty_cycles is not None and cache.l2_must is not None:
-        must_in = cache.l2_must.in_states[prefetch_rid]
-        if must_in is not None and target in must_in:
-            return timing.l2_hit_penalty_cycles
+    if (
+        timing.l2_hit_penalty_cycles is not None
+        and cache.l2_must is not None
+        and cache.l2_must.contains([prefetch_rid], [target])[0]
+    ):
+        return timing.l2_hit_penalty_cycles
     return timing.prefetch_latency
 
 

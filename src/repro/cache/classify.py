@@ -131,6 +131,34 @@ class DataflowResult:
     out_states: List[Optional[AbstractCacheState]]
     passes: int
 
+    # The membership queries below are what the L2 plan, the L2 hit set
+    # and the prefetch latency read; the dense result answers them from
+    # its matrices without materializing a state.
+    def reached(self, rids) -> np.ndarray:
+        """Per rid: whether the analysis reached the vertex."""
+        states = self.in_states
+        return np.fromiter(
+            (states[rid] is not None for rid in np.asarray(rids).tolist()),
+            dtype=bool,
+            count=len(rids),
+        )
+
+    def contains(self, rids, blocks) -> np.ndarray:
+        """Per ``(rid, block)`` pair: whether the block is in the
+        vertex's must/may in-state (``False`` where never reached)."""
+        states = self.in_states
+        return np.fromiter(
+            (
+                state is not None and block in state
+                for state, block in zip(
+                    map(states.__getitem__, np.asarray(rids).tolist()),
+                    np.asarray(blocks).tolist(),
+                )
+            ),
+            dtype=bool,
+            count=len(rids),
+        )
+
 
 #: Marker for a statically-unknown access in a custom access plan.
 UNKNOWN_ACCESS = "?"
@@ -382,7 +410,8 @@ def analyze_cache(
             :class:`~repro.cache.config.HierarchyConfig`; when it has a
             second level, the L2 must fixpoint runs over the
             classification-filtered access stream and the result
-            carries ``l2_must``/``l2_hits``.  Its L1 must equal
+            carries ``l2_must``/``l2_hits`` (see
+            :func:`analyze_l2_must`; same kernel).  Its L1 must equal
             ``config``.
     """
     if config.block_size != acfg.block_size:
@@ -412,7 +441,9 @@ def analyze_cache(
     # caller's with_may choice.
     if level2 is not None:
         with_may = True
-    if resolve_kernel(kernel) == "vectorized":
+    kernel = resolve_kernel(kernel)
+    schedule = None
+    if kernel == "vectorized":
         universe = BlockUniverse.for_acfg(acfg, config)
         schedule = KernelSchedule(
             acfg, universe, locked_blocks or frozenset()
@@ -447,7 +478,8 @@ def analyze_cache(
     analysis = CacheAnalysis(config, classifications, must, may, persistence)
     if level2 is not None:
         analysis.l2_must = analyze_l2_must(
-            acfg, level2.config, classifications, locked_blocks, may=may
+            acfg, level2.config, classifications, locked_blocks, may=may,
+            kernel=kernel, schedule=schedule,
         )
         analysis.l2_hits = l2_guaranteed_hits(
             acfg, classifications, analysis.l2_must
@@ -497,6 +529,40 @@ def classify_references(
 # ----------------------------------------------------------------------
 # second-level (L2) analysis — Hardy & Puaut per-level filtering
 # ----------------------------------------------------------------------
+def l2_plan_rows(
+    acfg: ACFG,
+    classifications: Sequence[Optional[Classification]],
+    locked_blocks: Optional[frozenset] = None,
+    may: Optional[DataflowResult] = None,
+) -> np.ndarray:
+    """:func:`l2_access_plan` as an ``(n, 2)`` int64 matrix.
+
+    Row ``rid`` holds the vertex's ``(own, target)`` ops: ``-1`` for
+    none, a block id for a definite access, ``-2 - block`` for a
+    maybe-access.  The dense kernel replays this matrix directly
+    (:meth:`repro.cache.kernel.KernelSchedule.with_plan`).
+    """
+    cols = acfg.columns
+    ranks = classification_ranks(classifications)
+    rids = np.flatnonzero(cols.is_ref)
+    own = cols.ref_block[rids]
+    target = cols.target_block[rids]
+    own_rank = ranks[rids]
+    locked = list(locked_blocks or ())
+    reaches_l2 = own_rank != classification_rank(Classification.ALWAYS_HIT)
+    has_target = target >= 0
+    if locked:
+        reaches_l2 &= ~np.isin(own, locked)
+        has_target &= ~np.isin(target, locked)
+    definite = own_rank == classification_rank(Classification.ALWAYS_MISS)
+    if may is not None:
+        definite |= may.reached(rids) & ~may.contains(rids, own)
+    rows = np.full((len(acfg), 2), -1, dtype=np.int64)
+    rows[rids[reaches_l2], 0] = np.where(definite, own, -2 - own)[reaches_l2]
+    rows[rids[has_target], 1] = -2 - target[has_target]
+    return rows
+
+
 def l2_access_plan(
     acfg: ACFG,
     classifications: Sequence[Optional[Classification]],
@@ -525,28 +591,14 @@ def l2_access_plan(
     missed L1, which is not statically known, so it is a maybe-access
     too.  Locked blocks are pinned in L1 and never reach L2.
     """
-    locked = locked_blocks or frozenset()
     plan: List[Optional[tuple]] = [None] * len(acfg)
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
-        ops = []
-        own = acfg.block_of(rid)
-        classification = classifications[rid]
-        if own not in locked and not (
-            classification is not None and classification.is_always_hit
-        ):
-            may_in = may.in_states[rid] if may is not None else None
-            if classification is Classification.ALWAYS_MISS or (
-                may_in is not None and own not in may_in
-            ):
-                ops.append(own)
-            else:
-                ops.append((MAYBE_ACCESS, own))
-        target = acfg.target_block_or_none(rid)
-        if target is not None and target not in locked:
-            ops.append((MAYBE_ACCESS, target))
-        if ops:
-            plan[rid] = tuple(ops)
+    rows = l2_plan_rows(acfg, classifications, locked_blocks, may)
+    for rid in np.flatnonzero((rows != -1).any(axis=1)).tolist():
+        plan[rid] = tuple(
+            op if op >= 0 else (MAYBE_ACCESS, -2 - op)
+            for op in rows[rid].tolist()
+            if op != -1
+        )
     return plan
 
 
@@ -557,21 +609,57 @@ def analyze_l2_must(
     locked_blocks: Optional[frozenset] = None,
     transfer=None,
     may: Optional[DataflowResult] = None,
+    kernel: Optional[str] = None,
+    schedule=None,
+    memo=None,
 ) -> DataflowResult:
     """Run the must domain of the second-level cache to fixpoint.
 
-    Always executes the pure-python :func:`propagate` (the maybe-access
-    op has no dense-kernel counterpart); the plan is derived solely
-    from the L1 classification and may result, which both kernels
-    produce bit-identically, so the L2 result is kernel-independent too.
+    The plan (:func:`l2_plan_rows`) is derived from the L1
+    classification and may result alone, which both kernels produce
+    bit-identically.  The fixpoint dispatches on ``kernel`` like
+    :func:`analyze_cache`:
+
+    * ``"vectorized"`` replays the plan on the segments of ``schedule``
+      (the L1 :class:`~repro.cache.kernel.KernelSchedule`; compiled
+      here when ``None``) under an L2
+      :class:`~repro.cache.kernel.BlockUniverse` — the same block
+      columns with the L2's set count and associativity — and returns a
+      :class:`~repro.cache.kernel.DenseDataflowResult`.  ``memo`` is an
+      optional :class:`~repro.cache.kernel.SegmentMemo`; it must not be
+      shared with an L1 analysis (the same op bytes mean a different
+      transfer under the L2's geometry).
+    * ``"python"`` runs the oracle :func:`propagate` on the
+      :func:`l2_access_plan`, with the optional ``transfer`` cache.
+
+    Both converge to the identical least fixpoint, state for state.
     """
-    plan = l2_access_plan(acfg, classifications, locked_blocks, may=may)
+    from repro.cache.kernel import (
+        BlockUniverse,
+        KernelSchedule,
+        propagate_kernel,
+        resolve_kernel,
+    )
+
+    rows = l2_plan_rows(acfg, classifications, locked_blocks, may)
+    if resolve_kernel(kernel) == "vectorized":
+        if schedule is None:
+            schedule = KernelSchedule(
+                acfg, BlockUniverse.for_acfg(acfg, l2_config),
+                locked_blocks or frozenset(),
+            )
+        universe = BlockUniverse(
+            l2_config, schedule.universe.base_block, schedule.universe.width
+        )
+        return propagate_kernel(
+            schedule.with_plan(universe, rows), "must", memo=memo
+        )
     return propagate(
         acfg,
         l2_config,
         MustState(l2_config),
         locked_blocks=None,  # locked blocks are already filtered out
-        plan=plan,
+        plan=l2_access_plan(acfg, classifications, locked_blocks, may=may),
         transfer=transfer,
     )
 
@@ -587,13 +675,9 @@ def l2_guaranteed_hits(
     is in the L2 must in-state: on every path it either hits L1 or is
     served by L2, so the L2 time bounds the worst case.
     """
-    hits = set()
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
-        classification = classifications[rid]
-        if classification is None or classification.is_hit:
-            continue
-        must_in = l2_must.in_states[rid]
-        if must_in is not None and acfg.block_of(rid) in must_in:
-            hits.add(rid)
-    return frozenset(hits)
+    cols = acfg.columns
+    rids = np.flatnonzero(
+        cols.is_ref & (classification_ranks(classifications) < HIT_RANK)
+    )
+    hits = rids[l2_must.contains(rids, cols.ref_block[rids])]
+    return frozenset(hits.tolist())

@@ -64,10 +64,22 @@ vectorized classifier (:func:`classify_references_dense`).  Every call
 runs cold from the source; reuse across the optimizer's candidates
 comes from the content-keyed segment memo, which replays any chain
 whose operations and in-state were seen before.
+
+The same engine runs the second-level must fixpoint of a cache
+hierarchy (:func:`repro.cache.classify.analyze_l2_must`): the L2 access
+plan — definite accesses plus maybe-accesses
+(:func:`must_maybe_update`) — is compiled onto the L1 schedule's
+segments (:meth:`KernelSchedule.with_plan`) under an L2
+:class:`BlockUniverse` (same block columns, the L2's set count and
+associativity) and replayed with its own segment memo.  The L2 plan,
+the L2 hit set and the prefetch latency read block membership straight
+from the dense matrices (:meth:`DenseDataflowResult.contains`); no
+state is materialized on that path.
 """
 
 from __future__ import annotations
 
+import copy
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -188,6 +200,19 @@ def lru_update(rows: np.ndarray, col: int, num_sets: int) -> None:
     h = rows[..., col:col + 1]
     np.add(sub, sub < h, out=sub)
     rows[..., col] = 0
+
+
+def must_maybe_update(rows: np.ndarray, col: int, num_sets: int) -> None:
+    """Must transfer for an access that may or may not occur (in place):
+    ``join(update(s, b), s)``.
+
+    The update ages the blocks younger than ``b`` by one and the
+    max-join keeps that age; ``b`` itself keeps its old age (the join
+    of 0 and its age).  So this is :func:`lru_update` without resetting
+    the accessed column.
+    """
+    sub = rows[..., col % num_sets::num_sets]
+    np.add(sub, sub < rows[..., col:col + 1], out=sub)
 
 
 def must_join(a: np.ndarray, b: np.ndarray,
@@ -348,9 +373,11 @@ def row_to_state(domain: str, row: np.ndarray, universe: BlockUniverse):
 # ----------------------------------------------------------------------
 # schedule compilation
 # ----------------------------------------------------------------------
-#: Access op marker for a statically-unknown address (mirrors
-#: :data:`repro.cache.classify.UNKNOWN_ACCESS` at the column level).
-UNKNOWN_COL = -1
+#: Op-row entry for "no access".  A non-negative entry is a definite
+#: access to that column (block); ``-2 - c`` is a maybe-access to
+#: column (block) ``c`` — the encoding of
+#: :func:`repro.cache.classify.l2_plan_rows`.
+NO_OP = -1
 
 
 #: Chain-length cap.  Chunking long straight-line chains makes the
@@ -389,16 +416,19 @@ class KernelSchedule:
         step_preds: Forward predecessors of the first vertex.
         step_back_srcs: Back-edge source rids targeting the first vertex.
         ops_keys: The access sequence as bytes of its ``(own, target)``
-            column rows (``-1`` = no access) — segment-memo entries are
-            shared between schedules (e.g. across candidate ACFGs)
-            whenever the replayed work is identical.  A bytes object
-            caches its hash, so memo probes stay O(1) across sweeps.
+            column rows (:data:`NO_OP` = no access) — segment-memo
+            entries are shared between schedules (e.g. across candidate
+            ACFGs) whenever the replayed work is identical.  A bytes
+            object caches its hash, so memo probes stay O(1) across
+            sweeps.
+        has_maybe: Whether any op is a maybe-access (only schedules
+            derived by :meth:`with_plan` carry them).
     """
 
     __slots__ = ("acfg", "universe", "starts", "ends", "step_preds",
                  "step_back_srcs", "ops_keys", "step_of", "source",
                  "locked_blocks", "ref_rids", "ref_cols", "ref_locked",
-                 "_op_rows", "_ops")
+                 "has_maybe", "_op_rows", "_ops")
 
     def __init__(self, acfg: ACFG, universe: BlockUniverse,
                  locked_blocks: frozenset):
@@ -430,9 +460,10 @@ class KernelSchedule:
         ref_cols = own - base
         # Per-vertex access plan: own block, then a prefetch's target
         # (locked blocks skipped), as (own, target) column rows.
-        op_rows = np.full((n, 2), -1, dtype=np.int64)
+        op_rows = np.full((n, 2), NO_OP, dtype=np.int64)
         op_rows[ref_rids, 0] = (
-            ref_cols if own_locked is None else np.where(own_locked, -1, ref_cols)
+            ref_cols if own_locked is None
+            else np.where(own_locked, NO_OP, ref_cols)
         )
         op_rows[ref_rids[has_target], 1] = target[has_target] - base
         # Classification gather arrays: every reference's rid and
@@ -476,6 +507,11 @@ class KernelSchedule:
         self.step_back_srcs = [
             tuple(back_by_target.get(start, ())) for start in self.starts
         ]
+        self.step_of = (np.cumsum(is_start) - 1).tolist()
+        self.has_maybe = False
+        self._set_ops(op_rows)
+
+    def _set_ops(self, op_rows: np.ndarray) -> None:
         row_bytes = op_rows.tobytes()
         row_size = op_rows.itemsize * 2
         self.ops_keys = [
@@ -486,14 +522,40 @@ class KernelSchedule:
         self._ops: List[Optional[List[Tuple[int, ...]]]] = (
             [None] * len(self.starts)
         )
-        self.step_of = (np.cumsum(is_start) - 1).tolist()
+
+    def with_plan(self, universe: BlockUniverse,
+                  block_rows: np.ndarray) -> "KernelSchedule":
+        """This schedule's segments replaying another access plan.
+
+        ``block_rows`` is an ``(n, 2)`` op matrix in *block* space —
+        :data:`NO_OP`, a block id (definite access) or ``-2 - block``
+        (maybe-access), the encoding of
+        :func:`repro.cache.classify.l2_plan_rows` — and ``universe``
+        the geometry to replay it under (e.g. the L2's, over the same
+        block range).  Segmentation depends on the ACFG alone, so the
+        chains, predecessor lists and back edges are shared.
+        """
+        base = universe.base_block
+        accessed = block_rows[block_rows != NO_OP]
+        _check_columns(np.where(accessed >= 0, accessed, -2 - accessed),
+                       base, universe.width)
+        derived = copy.copy(self)
+        derived.universe = universe
+        derived.has_maybe = bool((accessed < 0).any())
+        # Shift into column space: definite b -> b - base, maybe
+        # -2 - b -> -2 - (b - base).
+        derived._set_ops(np.where(
+            block_rows >= 0, block_rows - base,
+            np.where(block_rows == NO_OP, NO_OP, block_rows + base),
+        ))
+        return derived
 
     def ops(self, index: int) -> List[Tuple[int, ...]]:
-        """Per-vertex access column tuples of one step (``()`` = none)."""
+        """Per-vertex op tuples of one step (``()`` = none)."""
         found = self._ops[index]
         if found is None:
             rows = self._op_rows[self.starts[index]:self.ends[index]]
-            found = [tuple(col for col in row if col >= 0)
+            found = [tuple(col for col in row if col != NO_OP)
                      for row in rows.tolist()]
             self._ops[index] = found
         return found
@@ -618,6 +680,23 @@ class DenseDataflowResult(DataflowResult):
             passes=passes,
         )
 
+    def reached(self, rids) -> np.ndarray:
+        return self.reachable[np.asarray(rids, dtype=np.int64)]
+
+    def contains(self, rids, blocks) -> np.ndarray:
+        if self.domain == "persistence":
+            raise AnalysisError("contains() reads must/may results only")
+        rids = np.asarray(rids, dtype=np.int64)
+        cols = np.asarray(blocks, dtype=np.int64) - self.universe.base_block
+        # A block without a column is never accessed, hence in no state.
+        inside = (cols >= 0) & (cols < self.universe.width)
+        present = np.zeros(len(rids), dtype=bool)
+        present[inside] = (
+            self.dense_in[rids[inside], cols[inside]]
+            < self.universe.config.associativity
+        )
+        return present & self.reachable[rids]
+
 
 # ----------------------------------------------------------------------
 # the dense fixpoint
@@ -656,6 +735,12 @@ def propagate_kernel_batch(
     * must and persistence both join by ``np.maximum``; may joins by
       ``np.minimum`` on its own row slice.
 
+    A schedule derived by :meth:`KernelSchedule.with_plan` may also
+    carry maybe-accesses (the L2 plan's
+    :data:`~repro.cache.classify.MAYBE_ACCESS`), replayed by
+    :func:`must_maybe_update`.  That shortcut holds on the must domain
+    only, so a schedule with maybe-accesses runs must-only batches.
+
     Transfer equations and initial states match the python kernel's, so
     the converged least fixpoint is identical state for state (the
     sweep *count* may differ; no consumer reads it as a semantic
@@ -671,6 +756,10 @@ def propagate_kernel_batch(
     order = tuple(name for name in BATCH_ORDER if name in domains)
     if len(order) != len(set(domains)) or not order:
         raise AnalysisError(f"unknown or empty domain batch {domains!r}")
+    if schedule.has_maybe and order != ("must",):
+        raise AnalysisError(
+            f"maybe-accesses are must-only, got domain batch {domains!r}"
+        )
     depth = len(order)
     num_max = depth - (1 if "may" in order else 0)
     assoc = config.associativity
@@ -761,15 +850,13 @@ def propagate_kernel_batch(
                 curu = cur.view(np.uint8)
                 for k, ops in enumerate(schedule.ops(index)):
                     for col in ops:
-                        if col == UNKNOWN_COL:
-                            # may rows keep the identity transfer
-                            sub = curu[:num_max]
-                            np.add(sub, sub < topu, out=sub)
-                        else:
+                        if col >= 0:
                             sub = curu[:, col % num_sets::num_sets]
                             h = curu[:, col:col + 1]
                             np.add(sub, (sub < h) & (sub < topu), out=sub)
                             curu[:, col] = 0
+                        else:
+                            must_maybe_update(curu, -2 - col, num_sets)
                     seg_out[k] = cur
                 if end - start > 1:
                     dense_in[start + 1:end] = seg_out[:-1]

@@ -26,7 +26,14 @@ from pathlib import Path
 import pytest
 
 from repro.bench.generator import random_program
-from repro.cache.classify import analyze_cache
+from repro.bench.registry import load, program_names
+from repro.cache.classify import (
+    analyze_cache,
+    analyze_l2_must,
+    l2_access_plan,
+    l2_guaranteed_hits,
+    l2_plan_rows,
+)
 from repro.cache.concrete import ConcreteCache
 from repro.cache.config import (
     CacheConfig,
@@ -38,6 +45,12 @@ from repro.cache.config import (
 )
 from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import analyze_wcet, prefetch_lambda
+from repro.cache.kernel import (
+    BlockUniverse,
+    DenseDataflowResult,
+    KernelSchedule,
+    propagate_kernel_batch,
+)
 from repro.energy.cacti import cacti_l2_model, cacti_model, hierarchy_model
 from repro.energy.technology import TECH_45NM
 from repro.errors import (
@@ -468,6 +481,83 @@ class TestMultiLevelDeterministic:
 
 
 # ----------------------------------------------------------------------
+# cross-kernel: the dense L2 path against the python oracle
+# ----------------------------------------------------------------------
+#: Tier-1 slice of the cross-kernel L2 comparison; the slow tier runs
+#: every Mälardalen program on the same two configurations.
+L2_KERNEL_PROGRAMS = ("bs", "crc", "fdct")
+L2_KERNEL_CONFIGS = ("k1", "k15")
+
+
+def _assert_l2_kernels_agree(program, config_id):
+    """analyze_l2_must, l2_guaranteed_hits and prefetch_lambda agree
+    state for state between the python and the vectorized kernel."""
+    config = TABLE2[config_id]
+    hierarchy = hierarchy_for(config, L2_SPEC)
+    l2_config = hierarchy.l2_level.config
+    timing = hierarchy_model(hierarchy, TECH_45NM).timing
+    acfg = build_acfg(load(program), config.block_size, 0)
+    py = analyze_cache(acfg, config, hierarchy=hierarchy, kernel="python")
+    vec = analyze_cache(acfg, config, hierarchy=hierarchy,
+                        kernel="vectorized")
+    assert py.classifications == vec.classifications
+    classifications = vec.classifications
+    assert not isinstance(py.l2_must, DenseDataflowResult)
+    assert isinstance(vec.l2_must, DenseDataflowResult)
+    # The membership reads of both may results give one plan.
+    assert l2_access_plan(acfg, classifications, may=py.may) == (
+        l2_access_plan(acfg, classifications, may=vec.may)
+    )
+    # Without a schedule, the dense path compiles its own.
+    direct = analyze_l2_must(acfg, l2_config, classifications, may=vec.may,
+                             kernel="vectorized")
+    for rid in range(len(acfg)):
+        assert py.l2_must.in_states[rid] == vec.l2_must.in_states[rid], (
+            f"{program}/{config_id} L2 in-state differs at rid {rid}"
+        )
+        assert py.l2_must.out_states[rid] == vec.l2_must.out_states[rid]
+        assert direct.in_states[rid] == py.l2_must.in_states[rid]
+        assert direct.out_states[rid] == py.l2_must.out_states[rid]
+    assert py.l2_hits == vec.l2_hits
+    assert l2_guaranteed_hits(acfg, classifications, direct) == py.l2_hits
+    # Λ of every reference's own block, plus a block no vertex touches.
+    outside = int(acfg.columns.ref_block.max()) + 1000
+    for vertex in acfg.ref_vertices():
+        for block in (acfg.block_of(vertex.rid), outside):
+            assert prefetch_lambda(py, timing, vertex.rid, block) == (
+                prefetch_lambda(vec, timing, vertex.rid, block)
+            )
+
+
+class TestL2KernelEquivalence:
+    @pytest.mark.parametrize("config_id", L2_KERNEL_CONFIGS)
+    @pytest.mark.parametrize("program", L2_KERNEL_PROGRAMS)
+    def test_l2_stage_identical_across_kernels(self, program, config_id):
+        _assert_l2_kernels_agree(program, config_id)
+
+    def test_maybe_accesses_are_must_only(self):
+        config = TABLE2["k1"]
+        acfg = build_acfg(random_program(3, target_size=60),
+                          config.block_size)
+        universe = BlockUniverse.for_acfg(acfg, config)
+        rows = l2_plan_rows(acfg, [None] * len(acfg))
+        schedule = KernelSchedule(acfg, universe, frozenset()).with_plan(
+            universe, rows
+        )
+        assert schedule.has_maybe
+        with pytest.raises(AnalysisError, match="must-only"):
+            propagate_kernel_batch(schedule, ("must", "may"))
+
+
+@pytest.mark.slow
+class TestL2KernelEquivalenceAllPrograms:
+    @pytest.mark.parametrize("config_id", L2_KERNEL_CONFIGS)
+    @pytest.mark.parametrize("program", program_names())
+    def test_l2_stage_identical_across_kernels(self, program, config_id):
+        _assert_l2_kernels_agree(program, config_id)
+
+
+# ----------------------------------------------------------------------
 # golden corpus: pinned multi-level states, reproduced by both kernels
 # ----------------------------------------------------------------------
 HIERARCHY_GOLDEN_DIR = Path(__file__).parent / "data" / "hierarchy_golden"
@@ -505,8 +595,6 @@ def _hierarchy_golden_files():
 
 
 def _analyze_golden_point(document, kernel):
-    from repro.bench.registry import load
-
     config = TABLE2[document["config"]]
     acfg = build_acfg(load(document["program"]), config.block_size, 0)
     hierarchy = hierarchy_for(config, document["l2"])

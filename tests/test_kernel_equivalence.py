@@ -18,12 +18,20 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.pipeline import AnalysisPipeline
 from repro.bench.registry import load
 from repro.cache.abstract import MayState, MustState
 from repro.cache.classify import analyze_cache
-from repro.cache.config import TABLE2
+from repro.cache.config import TABLE2, CacheConfig
+from repro.cache.kernel import (
+    BlockUniverse,
+    must_maybe_update,
+    row_to_state,
+    state_to_row,
+)
 from repro.cache.persistence import PersistenceState
 from repro.core.optimizer import OptimizerOptions, optimize
 from repro.energy.cacti import cacti_model
@@ -156,6 +164,44 @@ class TestAnalysisBitIdentity:
         assert py.solution.objective == vec.solution.objective
         assert py.persistent_charged_blocks == vec.persistent_charged_blocks
         assert py.latency_guarded == vec.latency_guarded
+
+
+# ----------------------------------------------------------------------
+# the dense maybe-access (L2 plan op) against the oracle
+# ----------------------------------------------------------------------
+#: Block span of the random states: wider than every sampled cache, so
+#: sets overflow and blocks get evicted.
+MAYBE_SPAN = 96
+
+
+class TestMaybeAccess:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        config=st.sampled_from(
+            (TABLE2["k1"], TABLE2["k15"], CacheConfig(4, 16, 256))
+        ),
+        history=st.lists(st.integers(0, MAYBE_SPAN - 1), max_size=60),
+        branch=st.lists(st.integers(0, MAYBE_SPAN - 1), max_size=8),
+        block=st.integers(0, MAYBE_SPAN - 1),
+    )
+    def test_dense_maybe_equals_join_of_update(self, config, history,
+                                               branch, block):
+        """``must_maybe_update`` lands on exactly
+        ``MustState.join(update(s, b), s)`` for random must states —
+        including joined ones, whose ages can skip positions."""
+        universe = BlockUniverse(config, 0, MAYBE_SPAN)
+        state = MustState(config)
+        for accessed in history:
+            state = state.update(accessed)
+        other = state
+        for accessed in branch:
+            other = other.update(accessed)
+        state = state.join(other)
+        row = state_to_row(state, universe)
+        must_maybe_update(row, universe.column(block), config.num_sets)
+        expected = state.update(block).join(state)
+        assert row_to_state("must", row, universe) == expected
+        assert state_to_row(expected, universe).tobytes() == row.tobytes()
 
 
 # ----------------------------------------------------------------------

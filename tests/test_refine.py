@@ -28,6 +28,7 @@ from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.refine import (
     apply_promotions,
     explore_concrete_states,
+    has_unclassified,
     refine_classifications,
 )
 from repro.analysis.wcet import analyze_wcet
@@ -151,6 +152,66 @@ class TestBudgetExhaustion:
             with_persistence=False,
         )
         assert result.wcet.solution.objective == base.solution.objective
+
+
+class TestNotClassifiedGate:
+    """The exploration runs only when some reference is NOT_CLASSIFIED:
+    promotions apply to nothing else, so skipping it cannot move τ_w."""
+
+    L2_SPEC = "4:16:4096:6"
+
+    @staticmethod
+    def _forbid_exploration(monkeypatch):
+        import repro.analysis.pipeline as pipeline_module
+        import repro.analysis.refine as refine_module
+
+        def explored(*args, **kwargs):
+            raise AssertionError("exploration ran without an NC reference")
+
+        monkeypatch.setattr(refine_module, "explore_concrete_states",
+                            explored)
+        monkeypatch.setattr(pipeline_module, "explore_concrete_states",
+                            explored)
+
+    def test_fdct_k15_with_l2_skips_the_exploration(self, monkeypatch):
+        config = TABLE2["k15"]
+        hierarchy = hierarchy_for(config, self.L2_SPEC)
+        timing = hierarchy_model(hierarchy, TECH_45NM).timing
+        cfg = load("fdct")
+        off = AnalysisPipeline(
+            config, timing, with_persistence=False, hierarchy=hierarchy
+        ).analyze(cfg).wcet
+        assert not has_unclassified(off.cache)
+
+        self._forbid_exploration(monkeypatch)
+        pipeline = AnalysisPipeline(
+            config, timing, with_persistence=False, hierarchy=hierarchy,
+            refine=True,
+        )
+        on = pipeline.analyze(cfg).wcet
+        assert on.tau_w == off.tau_w
+        assert list(on.t_w) == list(off.t_w)
+        assert pipeline.stats.refine_runs == 1
+        assert pipeline.stats.refine_states == 0
+        assert pipeline.stats.refine_promotions == 0
+
+        direct = analyze_wcet(
+            on.acfg, config, timing, with_persistence=False,
+            hierarchy=hierarchy, refine=True,
+        )
+        assert direct.tau_w == off.tau_w
+        assert list(direct.t_w) == list(off.t_w)
+
+    def test_bs_k1_still_explores_and_promotes(self):
+        config = TABLE2["k1"]
+        pipeline = AnalysisPipeline(
+            config, _single_level_timing(config), with_persistence=False,
+            refine=True,
+        )
+        result = pipeline.analyze(load("bs"))
+        assert pipeline.stats.refine_states > 0
+        assert pipeline.stats.refine_promotions == 1
+        assert Classification.PERSISTENT in result.wcet.cache.classifications
 
 
 class TestRefineOffIdentity:
