@@ -1,22 +1,17 @@
-"""Staged, cached WCET analysis (the analysis pipeline).
+"""Staged WCET analysis with memoised transfers (the analysis pipeline).
 
 :func:`repro.analysis.wcet.analyze_wcet` recomputes everything from the
 CFG on every call.  That is the right interface for one-shot analyses,
 but the optimizer's loop calls it once per candidate insertion and most
-of the work is identical between calls: the ACFG of the unmodified
-program, the abstract fixpoint over the untouched prefix, transfer
-functions applied to states already seen.  :class:`AnalysisPipeline`
-decomposes the analysis into explicitly cached stages:
+of the transfer work is identical between calls: abstract states along
+the regions the insertion left unchanged.  :class:`AnalysisPipeline`
+runs the analysis as named stages and memoises that transfer work:
 
-1. **Structural artifacts** — ACFG, loop instance spans, and the IPET
-   structural recurrence inputs, keyed by a *content key* of the CFG
-   (block/instruction streams, structure-tree shape, loop bounds,
-   layout parameters).  Two CFG objects with equal content share one
-   artifact, which is what lets ``measure → optimize → measure`` inside
-   a use case build the ACFG once.  A candidate that differs from its
-   base by one prefetch insertion gets its ACFG spliced from the
-   base's (:func:`~repro.program.acfg.splice_prefetch`) instead of
-   re-expanded.
+1. **ACFG** — a candidate that differs from its base by one prefetch
+   insertion gets its ACFG spliced from the base's
+   (:func:`~repro.program.acfg.splice_prefetch`) instead of
+   re-expanded; every other program is built with
+   :func:`~repro.program.acfg.build_acfg`.
 2. **Hash-consed abstract states** — a per-domain
    :class:`TransferCache` interns every
    :class:`~repro.cache.abstract.AbstractCacheState` it produces and
@@ -27,17 +22,16 @@ decomposes the analysis into explicitly cached stages:
    refine, l2, guard and ipet stages from scratch on its (possibly
    spliced) ACFG, so a candidate's result is the same computation
    :func:`~repro.analysis.wcet.analyze_wcet` performs on a fresh
-   :func:`~repro.program.acfg.build_acfg`.  Reuse across candidates
-   comes from the content-keyed memos alone: the :class:`TransferCache`
-   of the python kernel and the
-   :class:`~repro.cache.kernel.SegmentMemo` of the vectorized kernel
-   replay every transfer or chain whose inputs were seen before.  The
-   latency guard answers all of its slack queries in one batched
-   shortest-path pass per analysis.
+   :func:`~repro.program.acfg.build_acfg`.  Reuse across analyses
+   comes from the memos alone: the :class:`TransferCache` of the
+   python kernel and the :class:`~repro.cache.kernel.SegmentMemo` of
+   the vectorized kernel replay every transfer or chain whose inputs
+   were seen before.  The latency guard answers all of its slack
+   queries in one batched shortest-path pass per analysis.
 
-Counters for every cache (hits/misses/invalidations) and per-stage
-wall-clock accumulate in :class:`PipelineStats`; the counters are
-deterministic (pure functions of the analysis sequence) and flow into
+Memo counters (hits/misses/invalidations) and per-stage wall-clock
+accumulate in :class:`PipelineStats`; the counters are deterministic
+(pure functions of the analysis sequence) and flow into
 :class:`~repro.core.optimizer.OptimizationReport`, sweep metrics and the
 service's telemetry, while the wall-clock profile stays out of
 serialized reports (see ``repro optimize --profile``).
@@ -45,10 +39,8 @@ serialized reports (see ``repro optimize --profile``).
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis.refine import (
     RefinementResult,
@@ -79,7 +71,6 @@ from repro.cache.classify import (
 from repro.cache.config import CacheConfig, HierarchyConfig, hierarchy_for
 from repro.cache.kernel import (
     BlockUniverse,
-    DenseDataflowResult,
     KernelSchedule,
     SegmentMemo,
     dense_classification_ranks,
@@ -91,19 +82,11 @@ from repro.errors import AnalysisError
 from repro.obs.trace import active_tracer
 from repro.program.acfg import ACFG, build_acfg, splice_prefetch
 from repro.program.cfg import ControlFlowGraph
-from repro.program.structure import (
-    BlockNode,
-    CallNode,
-    IfElseNode,
-    LoopNode,
-    SeqNode,
-    SwitchNode,
-)
 
 
 @dataclass
 class PipelineStats:
-    """Cache counters and stage timings of one :class:`AnalysisPipeline`.
+    """Memo counters and stage timings of one :class:`AnalysisPipeline`.
 
     All counters are deterministic functions of the analysis sequence
     (no wall-clock, no memory addresses), so they can be embedded in
@@ -112,11 +95,10 @@ class PipelineStats:
     surfaced separately (``--profile``).
     """
 
+    # Not in counters(): perfbench/layers.py sums these three by name.
     result_hits: int = 0
     structural_hits: int = 0
     structural_misses: int = 0
-    dataflow_hits: int = 0
-    dataflow_misses: int = 0
     transfer_hits: int = 0
     transfer_misses: int = 0
     kernel_segment_hits: int = 0
@@ -135,11 +117,6 @@ class PipelineStats:
     def counters(self) -> Dict[str, int]:
         """Deterministic counter snapshot (safe to serialize in reports)."""
         data = {
-            "result_hits": self.result_hits,
-            "structural_hits": self.structural_hits,
-            "structural_misses": self.structural_misses,
-            "dataflow_hits": self.dataflow_hits,
-            "dataflow_misses": self.dataflow_misses,
             "transfer_hits": self.transfer_hits,
             "transfer_misses": self.transfer_misses,
             "kernel_segment_hits": self.kernel_segment_hits,
@@ -280,9 +257,8 @@ class TransferCache:
 
 @dataclass
 class StructuralArtifacts:
-    """Stage-1 products: everything derivable from CFG content alone."""
+    """Stage-1 products: everything derivable from the CFG alone."""
 
-    key: Any
     acfg: ACFG
     #: REST instance spans ``(entry_join, last_rid, exit_rids)`` — the
     #: optimizer's loop ranges and the latency guard's wrap-around scopes.
@@ -302,17 +278,15 @@ class PipelineResult:
     (:meth:`reverse_events`, :meth:`exec_counts`, :meth:`miss_uses`)
     lazily, so ``_run_pass`` stops recomputing them per pass.
 
-    The pipeline that produced the result is held weakly: the pipeline's
-    result cache holds its results, and a strong back-reference would
-    make every discarded pipeline, with all its cached matrices, wait
-    for the cyclic garbage collector.
+    ``owner`` is the pipeline that produced the result.  The pipeline
+    keeps no reference to its results, so there is no cycle.
     """
 
-    __slots__ = ("_owner", "artifacts", "wcet", "with_may", "locked_blocks",
+    __slots__ = ("owner", "artifacts", "wcet", "with_may", "locked_blocks",
                  "_reverse_events", "_exec_counts", "_miss_uses")
 
     def __init__(self, owner, artifacts, wcet, with_may, locked_blocks):
-        self._owner = weakref.ref(owner)
+        self.owner = owner
         self.artifacts = artifacts
         self.wcet = wcet
         self.with_may = with_may
@@ -322,17 +296,12 @@ class PipelineResult:
         self._miss_uses = None
 
     @property
-    def owner(self) -> Optional["AnalysisPipeline"]:
-        """The pipeline that produced this result (``None`` once gone)."""
-        return self._owner()
-
-    @property
     def acfg(self) -> ACFG:
         """The analysed ACFG."""
         return self.artifacts.acfg
 
     def loop_ranges(self) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
-        """``{entry_join: (last_rid, exit_rids)}`` from the cached spans."""
+        """``{entry_join: (last_rid, exit_rids)}`` from the loop spans."""
         return {
             join: (last, exits)
             for join, last, exits in self.artifacts.loop_spans
@@ -381,104 +350,12 @@ class PipelineResult:
         return self._miss_uses
 
 
-def _structure_sig(node) -> tuple:
-    """Hashable signature of a structure tree (shape + block names)."""
-    if node is None:
-        return ("none",)
-    if isinstance(node, BlockNode):
-        return ("b", node.block_name)
-    if isinstance(node, SeqNode):
-        return ("s",) + tuple(_structure_sig(item) for item in node.items)
-    if isinstance(node, IfElseNode):
-        return (
-            "if",
-            node.cond_block,
-            _structure_sig(node.then_node),
-            _structure_sig(node.else_node),
-        )
-    if isinstance(node, LoopNode):
-        return ("lp", node.loop_name, _structure_sig(node.body))
-    if isinstance(node, SwitchNode):
-        return ("sw", node.selector_block) + tuple(
-            _structure_sig(case) for case in node.cases
-        )
-    if isinstance(node, CallNode):
-        return ("call", node.call_block, node.function_name, node.site_id)
-    raise AnalysisError(f"unknown structure node {type(node).__name__}")
-
-
-def content_key(cfg: ControlFlowGraph, block_size: int, base_address: int):
-    """Hashable key of everything the instruction-cache analysis reads.
-
-    Covers the per-block instruction streams (uid, prefetch role,
-    prefetch target — layout order determines addresses), the CFG
-    edges, the structure-tree shape, loop bounds, function bodies, and
-    the layout parameters.  Two CFG objects with equal keys yield
-    byte-for-byte identical analyses, which is the pipeline's licence to
-    share artifacts across objects (e.g. ``optimize``'s working clone
-    and the measured original).
-    """
-    blocks = tuple(
-        (
-            block.name,
-            tuple(
-                (instr.uid, instr.is_prefetch, instr.prefetch_target)
-                for instr in block.instructions
-            ),
-        )
-        for block in cfg.blocks
-    )
-    edges = tuple(sorted(cfg.edges()))
-    loops = tuple(
-        sorted((name, info.bound) for name, info in cfg.loops.items())
-    )
-    functions = tuple(
-        sorted(
-            (name, _structure_sig(info.structure))
-            for name, info in cfg.functions.items()
-        )
-    )
-    return (
-        cfg.name,
-        blocks,
-        edges,
-        loops,
-        _structure_sig(cfg.structure),
-        functions,
-        block_size,
-        base_address,
-    )
-
-
-def spliced_content_key(base_key, cfg: ControlFlowGraph, block_name: str,
-                        index: int):
-    """:func:`content_key` of ``cfg``, derived from its base program's.
-
-    ``cfg`` must be the program keyed by ``base_key`` with one prefetch
-    inserted at ``block_name[index]``; only that block's instruction
-    stream changes, so the key is patched in O(blocks) instead of
-    rebuilt instruction by instruction.
-    """
-    block = cfg.block(block_name)
-    position = cfg.blocks.index(block)
-    instr = block.instructions[index]
-    blocks = base_key[1]
-    name, stream = blocks[position]
-    stream = (
-        stream[:index]
-        + ((instr.uid, instr.is_prefetch, instr.prefetch_target),)
-        + stream[index:]
-    )
-    blocks = blocks[:position] + ((name, stream),) + blocks[position + 1:]
-    return (base_key[0], blocks) + base_key[2:]
-
-
 class AnalysisPipeline:
-    """Staged, cached WCET analysis for one (config, timing) context.
+    """Staged WCET analysis for one (config, timing) context.
 
     One pipeline serves one use case: the cache configuration, timing
     model, persistence setting, locked blocks and base address are fixed
-    at construction so every cached artifact is valid for every call.
+    at construction so every memo entry is valid for every call.
     Not thread-safe; sweep workers build one per use case.
 
     Args:
@@ -497,27 +374,19 @@ class AnalysisPipeline:
             :class:`~repro.cache.config.HierarchyConfig`; its L1 must
             equal ``config``.  Adds an L2 must stage
             (:func:`~repro.cache.classify.analyze_l2_must` over the
-            classification-filtered stream on the pipeline's kernel,
-            cached per program content) after classification.  ``None``
-            keeps the single-level analysis bit-identical to before.
+            classification-filtered stream on the pipeline's kernel)
+            after classification.  ``None`` keeps the single-level
+            analysis bit-identical to before.
         refine: Run the model-checking refinement
             (:mod:`repro.analysis.refine`) after classification and
             apply its NC->AH / NC->AM promotions before the L2, guard
             and IPET stages.  The exploration runs only when some
-            reference is ``NOT_CLASSIFIED``, is cached per program
-            content and otherwise runs cold, like every stage.
+            reference is ``NOT_CLASSIFIED``, and then cold, like every
+            stage.
             ``False`` keeps every output byte-identical to before.
         refine_budget: Exploration budget override for the refinement
             (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
     """
-
-    #: LRU capacities.  Structural artifacts and dataflow results are
-    #: keyed by program content; candidate evaluations churn through
-    #: unique contents, so the caps bound memory while keeping the
-    #: cross-phase entries (original and final program) resident.
-    MAX_STRUCTURAL = 32
-    MAX_DATAFLOW = 64
-    MAX_RESULTS = 8
 
     def __init__(
         self,
@@ -562,16 +431,6 @@ class AnalysisPipeline:
         self._universe: Optional[BlockUniverse] = None
         self._segment_memo = SegmentMemo(stats=self.stats)
         self._l2_segment_memo = SegmentMemo(stats=self.stats)
-        self._structural_cache: "OrderedDict[Any, StructuralArtifacts]" = (
-            OrderedDict()
-        )
-        self._dataflow_cache: "OrderedDict[Any, DataflowResult]" = OrderedDict()
-        self._results: "OrderedDict[Any, PipelineResult]" = OrderedDict()
-        #: id(cfg) -> (version, weakref, content key): memoizes the
-        #: content key per live CFG object; the weakref guards against
-        #: id reuse after garbage collection and the version (bumped by
-        #: every CFG mutation, never reused) against in-place edits.
-        self._content_keys: Dict[int, Tuple[int, Any, Any]] = {}
 
     @classmethod
     def for_options(cls, config: CacheConfig, timing: TimingModel, options,
@@ -613,15 +472,14 @@ class AnalysisPipeline:
         base: Optional[PipelineResult] = None,
         inserted: Optional[Tuple[str, int]] = None,
     ) -> PipelineResult:
-        """Analyse ``cfg``, reusing every stage the caches allow.
+        """Analyse ``cfg``; every stage runs, replaying memoised transfers.
 
         Args:
-            cfg: The program (any object; keyed by content).
+            cfg: The program.
             with_may: Run the may domain (as in :func:`analyze_wcet`).
             base: A previous result *from this pipeline* — the analysis
                 of the program this ``cfg`` was derived from by one
-                prefetch insertion.  Results with a base are candidate
-                evaluations and never enter the result cache.
+                prefetch insertion.
             inserted: ``(block_name, index)`` of that insertion, when
                 ``cfg`` is exactly ``base``'s program plus one prefetch
                 there: the ACFG is then spliced from ``base``'s
@@ -636,19 +494,7 @@ class AnalysisPipeline:
             base = None  # a foreign pipeline's ACFG is not ours to splice
         if base is None:
             inserted = None
-        key = self._content_key_of(
-            cfg, base.artifacts.key if inserted is not None else None, inserted
-        )
-        result_key = (key, bool(with_may))
-        cached = self._results.get(result_key)
-        if cached is not None:
-            self._results.move_to_end(result_key)
-            self.stats.result_hits += 1
-            return cached
-
-        artifacts = self._structural_stage(
-            cfg, key, base if inserted is not None else None, inserted
-        )
+        artifacts = self._structural_stage(cfg, base, inserted)
         acfg = artifacts.acfg
 
         level2 = self.hierarchy.l2_level if self.hierarchy is not None else None
@@ -666,7 +512,12 @@ class AnalysisPipeline:
             seg_hits = self.stats.kernel_segment_hits
             seg_misses = self.stats.kernel_segment_misses
             if self.kernel == "vectorized":
-                dataflows = self._dense_dataflow_stage(artifacts, domains)
+                # All domains in one stacked walk: one schedule
+                # traversal and one memo probe per segment for the batch.
+                dataflows = propagate_kernel_batch(
+                    self._schedule_for(artifacts), domains,
+                    memo=self._segment_memo,
+                )
             else:
                 dataflows = {
                     domain: self._dataflow_stage(artifacts, domain)
@@ -685,9 +536,7 @@ class AnalysisPipeline:
         with self._stage("classify"):
             locked = self.locked_blocks or None
             ranks = None
-            if all(
-                isinstance(df, DenseDataflowResult) for df in dataflows.values()
-            ):
+            if self.kernel == "vectorized":
                 ranks = dense_classification_ranks(
                     acfg,
                     dataflows["must"],
@@ -782,22 +631,13 @@ class AnalysisPipeline:
                 latency_guarded=guarded,
             )
 
-        result = PipelineResult(
+        return PipelineResult(
             owner=self,
             artifacts=artifacts,
             wcet=wcet,
             with_may=bool(with_may),
             locked_blocks=locked,
         )
-        if base is None:
-            # Candidate evaluations (base != None) churn through unique
-            # contents and are carried by the optimizer explicitly; only
-            # analyses of "real" programs earn a result-cache slot.
-            self._results[result_key] = result
-            while len(self._results) > self.MAX_RESULTS:
-                self._results.popitem(last=False)
-                self.stats.invalidations += 1
-        return result
 
     # ------------------------------------------------------------------
     # stages
@@ -805,55 +645,25 @@ class AnalysisPipeline:
     def _stage(self, name: str) -> _StageTimer:
         return _StageTimer(self.stats, name)
 
-    def _content_key_of(self, cfg: ControlFlowGraph, base_key=None,
-                        inserted: Optional[Tuple[str, int]] = None):
-        cached = self._content_keys.get(id(cfg))
-        if cached is not None:
-            version, ref, key = cached
-            if ref() is cfg and version == cfg.version:
-                return key
-        if inserted is not None:
-            key = spliced_content_key(base_key, cfg, *inserted)
-        else:
-            key = content_key(cfg, self.config.block_size, self.base_address)
-        self._content_keys[id(cfg)] = (cfg.version, weakref.ref(cfg), key)
-        if len(self._content_keys) > 16:
-            self._content_keys = {
-                obj_id: entry
-                for obj_id, entry in self._content_keys.items()
-                if entry[1]() is not None
-            }
-        return key
-
     def _structural_stage(
         self,
         cfg: ControlFlowGraph,
-        key,
         base: Optional[PipelineResult] = None,
         inserted: Optional[Tuple[str, int]] = None,
     ) -> StructuralArtifacts:
-        hit = self._structural_cache.get(key)
-        if hit is not None:
-            self._structural_cache.move_to_end(key)
-            self.stats.structural_hits += 1
-            return hit
         self.stats.structural_misses += 1
         with self._stage("acfg"):
-            if base is not None:
+            if inserted is not None:
                 acfg = splice_prefetch(base.artifacts.acfg, cfg, *inserted)
             else:
                 acfg = build_acfg(cfg, self.config.block_size, self.base_address)
             artifacts = StructuralArtifacts(
-                key=key, acfg=acfg, loop_spans=rest_instance_spans(acfg)
+                acfg=acfg, loop_spans=rest_instance_spans(acfg)
             )
             if self.kernel == "vectorized":
-                # Schedule compilation is structural work (per program
-                # content, domain-independent), so it rides the acfg stage.
+                # Schedule compilation is structural work (per program,
+                # domain-independent), so it rides the acfg stage.
                 self._schedule_for(artifacts)
-        self._structural_cache[key] = artifacts
-        while len(self._structural_cache) > self.MAX_STRUCTURAL:
-            self._structural_cache.popitem(last=False)
-            self.stats.invalidations += 1
         return artifacts
 
     def _initial_state(self, domain: str):
@@ -870,26 +680,14 @@ class AnalysisPipeline:
         artifacts: StructuralArtifacts,
         domain: str,
     ) -> DataflowResult:
-        key = (artifacts.key, domain)
-        hit = self._dataflow_cache.get(key)
-        if hit is not None:
-            self._dataflow_cache.move_to_end(key)
-            self.stats.dataflow_hits += 1
-            return hit
-        self.stats.dataflow_misses += 1
         transfer = self._transfer[domain]
-        result = propagate(
+        return propagate(
             artifacts.acfg,
             self.config,
             transfer.intern(self._initial_state(domain)),
             locked_blocks=self.locked_blocks or None,
             transfer=transfer,
         )
-        self._dataflow_cache[key] = result
-        while len(self._dataflow_cache) > self.MAX_DATAFLOW:
-            self._dataflow_cache.popitem(last=False)
-            self.stats.invalidations += 1
-        return result
 
     def _l2_stage(
         self,
@@ -907,14 +705,7 @@ class AnalysisPipeline:
         The plan is derived from the kernel-independent L1
         classification and may states, so the result is identical.
         """
-        key = (artifacts.key, "l2-must")
-        hit = self._dataflow_cache.get(key)
-        if hit is not None:
-            self._dataflow_cache.move_to_end(key)
-            self.stats.dataflow_hits += 1
-            return hit
-        self.stats.dataflow_misses += 1
-        result = analyze_l2_must(
+        return analyze_l2_must(
             artifacts.acfg,
             l2_config,
             classifications,
@@ -928,26 +719,9 @@ class AnalysisPipeline:
             ),
             memo=self._l2_segment_memo,
         )
-        self._dataflow_cache[key] = result
-        while len(self._dataflow_cache) > self.MAX_DATAFLOW:
-            self._dataflow_cache.popitem(last=False)
-            self.stats.invalidations += 1
-        return result
 
     def _refine_stage(self, artifacts: StructuralArtifacts) -> RefinementResult:
-        """The bounded concrete-state exploration of one program.
-
-        The exploration walks the same default access plan for every
-        classification of the same content, so it is cached per
-        ``artifacts.key`` alone (shared across ``with_may`` modes).
-        """
-        key = (artifacts.key, "refine")
-        hit = self._dataflow_cache.get(key)
-        if hit is not None:
-            self._dataflow_cache.move_to_end(key)
-            self.stats.dataflow_hits += 1
-            return hit
-        self.stats.dataflow_misses += 1
+        """The bounded concrete-state exploration of one program."""
         result = explore_concrete_states(
             artifacts.acfg,
             self.config,
@@ -955,51 +729,7 @@ class AnalysisPipeline:
             budget=self.refine_budget,
         )
         self.stats.refine_states += result.explored
-        self._dataflow_cache[key] = result
-        while len(self._dataflow_cache) > self.MAX_DATAFLOW:
-            self._dataflow_cache.popitem(last=False)
-            self.stats.invalidations += 1
         return result
-
-    def _dense_dataflow_stage(
-        self,
-        artifacts: StructuralArtifacts,
-        domains: Sequence[str],
-    ) -> Dict[str, DataflowResult]:
-        """All requested domains in one batched dense fixpoint.
-
-        The vectorized counterpart of mapping :meth:`_dataflow_stage`
-        over ``domains``: per-domain dataflow-cache keys are honoured
-        first, then every *missing* domain rides a single stacked
-        :func:`propagate_kernel_batch` walk — one schedule traversal,
-        one join, one memo probe per segment for the whole batch.
-        """
-        dataflows: Dict[str, DataflowResult] = {}
-        missing = []
-        for domain in domains:
-            key = (artifacts.key, domain)
-            hit = self._dataflow_cache.get(key)
-            if hit is not None and isinstance(hit, DenseDataflowResult):
-                self._dataflow_cache.move_to_end(key)
-                self.stats.dataflow_hits += 1
-                dataflows[domain] = hit
-            else:
-                self.stats.dataflow_misses += 1
-                missing.append(domain)
-        if not missing:
-            return dataflows
-
-        batch = propagate_kernel_batch(
-            self._schedule_for(artifacts), missing, memo=self._segment_memo
-        )
-        for domain in missing:
-            result = batch[domain]
-            dataflows[domain] = result
-            self._dataflow_cache[(artifacts.key, domain)] = result
-        while len(self._dataflow_cache) > self.MAX_DATAFLOW:
-            self._dataflow_cache.popitem(last=False)
-            self.stats.invalidations += 1
-        return dataflows
 
     def _schedule_for(self, artifacts: StructuralArtifacts) -> KernelSchedule:
         """The compiled schedule of one ACFG against the live universe.

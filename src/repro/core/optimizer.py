@@ -204,7 +204,7 @@ class OptimizationReport:
     candidates_evaluated: int = 0
     candidates_rejected: int = 0
     passes: int = 0
-    #: Snapshot of the analysis pipeline's cache counters at the end of
+    #: Snapshot of the analysis pipeline's memo counters at the end of
     #: the run (cumulative over the pipeline's lifetime when a shared
     #: pipeline was passed in).  Deterministic; serialized in reports.
     pipeline: Dict[str, int] = field(default_factory=dict)
@@ -262,8 +262,8 @@ def optimize(
         inplace: Mutate ``cfg`` instead of working on a clone.
         pipeline: Optionally share an
             :class:`~repro.analysis.pipeline.AnalysisPipeline` (e.g. one
-            per use case, so the measure/optimize/measure phases reuse
-            each other's artifacts).  Must agree with ``config``,
+            per use case, so the measure/optimize/measure phases share
+            its transfer memos).  Must agree with ``config``,
             ``timing`` and ``options``; by default a fresh one is built.
 
     Returns:

@@ -58,7 +58,7 @@ from repro.experiments.usecase import (
 #: Version tag of the result-producing code.  Bump whenever analysis,
 #: optimizer, simulator, or energy-model changes alter results — every
 #: cached record keyed under the old tag becomes unreachable.
-CODE_VERSION = "2026.10-2"
+CODE_VERSION = "2026.10-3"
 
 #: Environment variable naming the default cache directory.
 CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"

@@ -44,9 +44,9 @@ class UseCaseMetrics:
             when it was (originally) computed.
         prefetches: Accepted prefetch insertions.
         worker_pid: OS pid of the process that produced the result.
-        pipeline: Analysis-pipeline cache counters of the run
-            (hits/misses/delta runs...; empty for records produced
-            before the pipeline existed).
+        pipeline: Analysis-pipeline memo counters of the run
+            (transfer/segment hits and misses, invalidations; empty for
+            records produced before the pipeline existed).
     """
 
     usecase: UseCase
@@ -218,7 +218,7 @@ class SweepMetrics:
         if totals:
             lines.append(
                 f"pipeline: {totals.get('transfer_hits', 0)} transfer hits, "
-                f"{totals.get('structural_hits', 0)} structural hits, "
+                f"{totals.get('kernel_segment_hits', 0)} segment hits, "
                 f"{totals.get('invalidations', 0)} invalidations"
             )
         worst = self.slowest(3)

@@ -318,7 +318,7 @@ def _evaluate_usecase(payload) -> Tuple:
     try:
         faults.inject_before(usecase, attempt)
         # One analysis pipeline per use case: all phases of the use case
-        # share cached artifacts, while use cases stay independent (and
+        # share its transfer memos, while use cases stay independent (and
         # the pipeline never crosses a process boundary).
         pipeline = pipeline_for_usecase(usecase, options)
         result = run_usecase(

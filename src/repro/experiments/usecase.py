@@ -193,9 +193,10 @@ def measure_program(
     """Analyse + simulate one executable on one hierarchy/technology.
 
     When ``pipeline`` is given the WCET analysis runs through it —
-    sharing artifacts with the optimization phase of the same use case —
-    and the pipeline's own persistence/base-address/hierarchy settings
-    apply (pass an ``l2`` that matches the pipeline's).
+    sharing its transfer memos and block universe with the optimization
+    phase of the same use case — and the pipeline's own
+    persistence/base-address/hierarchy settings apply (pass an ``l2``
+    that matches the pipeline's).
     """
     tech = technology(tech_name)
     hierarchy = hierarchy_for(config, l2)
@@ -291,9 +292,8 @@ def run_usecase(
     case's cache/technology, and measures the optimized executable on
     the same cache/technology.  All three phases share one analysis
     pipeline (``pipeline`` or a fresh :func:`pipeline_for_usecase`), so
-    the optimizer starts from the original measurement's analysis and
-    the final measurement reuses the last accepted candidate's
-    artifacts.
+    each phase's analyses replay the transfers the earlier phases
+    memoised.
     """
     config = usecase.cache_config()
     tech = technology(usecase.tech)

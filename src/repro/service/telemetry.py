@@ -252,11 +252,11 @@ class ServiceTelemetry:
             job span.
         queue_depth: Current bounded-queue occupancy.
         jobs_inflight: Computations currently queued or running.
-        pipeline_stage_hits: Analysis-pipeline cache hits (structural +
-            dataflow + whole-result) across completed jobs.
-        pipeline_stage_misses: Analysis-pipeline cache misses across
+        pipeline_stage_hits: Analysis-pipeline memo hits (transfer +
+            kernel segment) across completed jobs.
+        pipeline_stage_misses: Analysis-pipeline memo misses across
             completed jobs.
-        pipeline_invalidations: Pipeline cache evictions/clears.
+        pipeline_invalidations: Pipeline memo clears.
         job_retries: Computations retried after a transient
             infrastructure failure (worker died, pool broke).
         pool_rebuilds: Broken process pools replaced with fresh ones.
@@ -316,12 +316,12 @@ class ServiceTelemetry:
             "jobs_inflight", "Computations currently queued or running")
         self.pipeline_stage_hits = r.counter(
             "pipeline_stage_hits",
-            "Analysis-pipeline cache hits across completed jobs")
+            "Analysis-pipeline memo hits across completed jobs")
         self.pipeline_stage_misses = r.counter(
             "pipeline_stage_misses",
-            "Analysis-pipeline cache misses across completed jobs")
+            "Analysis-pipeline memo misses across completed jobs")
         self.pipeline_invalidations = r.counter(
-            "pipeline_invalidations", "Pipeline cache evictions and clears")
+            "pipeline_invalidations", "Pipeline memo clears")
         self.job_retries = r.counter(
             "job_retries",
             "Computations retried after a transient pool failure")
@@ -384,14 +384,15 @@ class ServiceTelemetry:
         """
         if not counters:
             return
+        # The transfer memo serves the python kernel, the segment memo
+        # the vectorized one.
         hits = (
-            counters.get("structural_hits", 0)
-            + counters.get("dataflow_hits", 0)
-            + counters.get("result_hits", 0)
+            counters.get("transfer_hits", 0)
+            + counters.get("kernel_segment_hits", 0)
         )
         misses = (
-            counters.get("structural_misses", 0)
-            + counters.get("dataflow_misses", 0)
+            counters.get("transfer_misses", 0)
+            + counters.get("kernel_segment_misses", 0)
         )
         if hits:
             self.pipeline_stage_hits.inc(hits)

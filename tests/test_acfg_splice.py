@@ -7,7 +7,7 @@ invisible in the results:
 
 * the spliced ACFG equals ``build_acfg`` of the candidate program on
   every column and back edge, and its lazily materialized vertices are
-  equal too, and the patched content key equals ``content_key``;
+  equal too;
 * :func:`~repro.analysis.wcet._latency_guard` equals a pairwise
   ``min_path_slack``/``wraparound_slack`` oracle.
 
@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.pipeline import AnalysisPipeline, content_key
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.slack import (
     min_path_slack,
     rest_instance_spans,
@@ -124,9 +124,6 @@ def run_checked(monkeypatch, program, config, options):
         if inserted is None:
             return result
         spliced = result.acfg
-        assert result.artifacts.key == content_key(
-            cfg, config.block_size, options.base_address
-        )
         fresh = build_acfg(cfg, config.block_size, options.base_address)
         assert_same_acfg(spliced, fresh)
         assert splice_prefetch(base.acfg, cfg, *inserted).vertices == (

@@ -469,6 +469,19 @@ class TestJobSpanTelemetry:
         assert "job_latency_seconds_count 0" in text
 
 
+class TestPipelineTelemetry:
+    def test_stage_hits_sum_both_kernels_memos(self):
+        telemetry = ServiceTelemetry()
+        telemetry.record_pipeline({
+            "transfer_hits": 3, "transfer_misses": 1,
+            "kernel_segment_hits": 4, "kernel_segment_misses": 2,
+            "invalidations": 1,
+        })
+        assert telemetry.pipeline_stage_hits.value == 7
+        assert telemetry.pipeline_stage_misses.value == 3
+        assert telemetry.pipeline_invalidations.value == 1
+
+
 HELP_A = ("# HELP repro_x First wording.\n"
           "# TYPE repro_x counter\n"
           "repro_x 1\n")

@@ -1,8 +1,8 @@
 """Pipeline == standalone: equivalence tests for the analysis pipeline.
 
 Every :meth:`AnalysisPipeline.analyze` call — including the optimizer's
-candidate evaluations on spliced ACFGs, served partly from the content-
-keyed caches — must be *bit-identical* to a standalone
+candidate evaluations on spliced ACFGs, whose transfers the memos
+replay — must be *bit-identical* to a standalone
 :func:`~repro.analysis.wcet.analyze_wcet` run on a fresh
 :func:`~repro.program.acfg.build_acfg`: same τ_w, same classifications,
 same per-reference times, same WCET-path counts, same L2 hits.  The
@@ -14,11 +14,14 @@ it re-runs every analysis standalone and asserts equality.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.pipeline import AnalysisPipeline, content_key
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
 from repro.bench.registry import load
@@ -112,14 +115,25 @@ class TestColdEqualsStandalone:
         )
         assert _wcet_fingerprint(via_pipeline) == _wcet_fingerprint(standalone)
 
-    def test_repeated_analyze_hits_result_cache(self):
+    def test_repeated_analyze_is_a_new_identical_result(self):
         cfg = load("bs")
         pipeline = AnalysisPipeline(CONFIG, TIMING)
         first = pipeline.analyze(cfg)
         again = pipeline.analyze(cfg)
-        assert again is first
-        assert pipeline.stats.result_hits == 1
-        assert pipeline.stats.structural_misses == 1
+        assert again is not first
+        assert _wcet_fingerprint(again.wcet) == _wcet_fingerprint(first.wcet)
+
+    def test_pipeline_and_result_free_without_cycle_collector(self):
+        gc.disable()
+        try:
+            pipeline = AnalysisPipeline(CONFIG, TIMING)
+            result = pipeline.analyze(load("bs"))
+            # PipelineResult has no weakref slot; its wcet goes with it.
+            refs = (weakref.ref(pipeline), weakref.ref(result.wcet))
+            del pipeline, result
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestIncrementalEqualsCold:
@@ -159,9 +173,6 @@ class TestIncrementalEqualsCold:
             assert report.misses_final == fresh.misses_final
             assert report.prefetch_count == fresh.prefetch_count
             assert report.passes == fresh.passes
-        # The second run re-analyses the same original program: its base
-        # analysis comes straight from the shared result cache.
-        assert shared.stats.result_hits >= 1
 
     def test_mismatched_pipeline_rejected(self):
         from repro.errors import OptimizationError
@@ -174,19 +185,6 @@ class TestIncrementalEqualsCold:
         pipeline = AnalysisPipeline(other_config, other_timing)
         with pytest.raises(OptimizationError):
             optimize(cfg, CONFIG, TIMING, pipeline=pipeline)
-
-
-class TestContentKeys:
-    def test_key_is_stable_across_rebuilds(self):
-        a = content_key(load("fac"), CONFIG.block_size, 0)
-        b = content_key(load("fac"), CONFIG.block_size, 0)
-        assert a == b
-
-    def test_key_separates_programs_and_parameters(self):
-        fac = content_key(load("fac"), CONFIG.block_size, 0)
-        assert fac != content_key(load("bs"), CONFIG.block_size, 0)
-        assert fac != content_key(load("fac"), 32, 0)
-        assert fac != content_key(load("fac"), CONFIG.block_size, 64)
 
 
 @pytest.mark.slow
